@@ -109,10 +109,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <fstream>
 #include <functional>
-#include <future>
 #include <memory>
 #include <thread>
 
@@ -134,6 +132,59 @@ void emit(const std::string& json) {
   std::printf("json: %s\n", json.c_str());
   g_records.push_back(json);
 }
+
+// The drive loops' client: single-node envelopes with at most `window`
+// unreaped — past that it blocks reaping answers, like a client feeling
+// admission control (refused envelopes are answered at once, so they only
+// pass through the window).  Counts kOk answers per priority class, which
+// rides in the envelope id's low bit.  One client per submitting thread.
+class NodeClient {
+ public:
+  explicit NodeClient(std::size_t window) : window_(window) {}
+  ~NodeClient() { drain(); }
+
+  void submit(serve::FleetManager& fleet, std::int64_t node,
+              serve::Priority pri = serve::Priority::kHigh) {
+    fleet.submit(envelope(node, pri), cq_);
+  }
+  // Straight into one batcher (which, never drained, resolves every
+  // refusal itself).
+  void submit(serve::MicroBatcher& batcher, std::int64_t node) {
+    const auto state = std::make_shared<serve::RequestState>(
+        envelope(node, serve::Priority::kHigh), &cq_);
+    const std::uint32_t slot = 0;
+    batcher.try_submit_parts(state, &slot, 1);
+  }
+  void drain() {
+    while (inflight_ > 0) reap();
+  }
+  std::size_t ok(serve::Priority pri) const {
+    return ok_[static_cast<std::size_t>(pri)];
+  }
+
+ private:
+  serve::ServeRequest envelope(std::int64_t node, serve::Priority pri) {
+    while (inflight_ >= window_) reap();
+    serve::ServeRequest req;
+    req.id = (next_id_++ << 1) | static_cast<std::uint64_t>(pri);
+    req.nodes = {node};
+    req.priority = pri;
+    ++inflight_;
+    return req;
+  }
+  void reap() {
+    serve::ServeResponse r;
+    if (!cq_.wait_for(&r, std::chrono::milliseconds(100))) return;
+    --inflight_;
+    if (r.status == serve::ServeStatus::kOk) ++ok_[r.id & 1];
+  }
+
+  const std::size_t window_;
+  serve::CompletionQueue cq_;
+  std::size_t inflight_ = 0;
+  std::uint64_t next_id_ = 0;
+  std::size_t ok_[2] = {0, 0};
+};
 
 struct LoadPoint {
   double offered_rps = 0;
@@ -165,23 +216,15 @@ LoadPoint drive(const serve::ServingTestbed& tb,
   const auto interval =
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(1.0 / offered_rps));
-  std::deque<std::future<std::vector<float>>> inflight;
+  NodeClient client(4096);
   const auto t0 = std::chrono::steady_clock::now();
   auto next = t0;
   for (const auto node : stream) {
     std::this_thread::sleep_until(next);
     next += interval;
-    inflight.push_back(batcher.submit(node));
-    // Reap settled futures opportunistically to bound memory.
-    while (inflight.size() > 4096) {
-      inflight.front().get();
-      inflight.pop_front();
-    }
+    client.submit(batcher, node);
   }
-  while (!inflight.empty()) {
-    inflight.front().get();
-    inflight.pop_front();
-  }
+  client.drain();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -286,18 +329,9 @@ SaturationPoint drive_closed(serve::FleetManager& set,
     threads.emplace_back([&, c] {
       const std::size_t lo = c * shard;
       const std::size_t hi = std::min(stream.size(), lo + shard);
-      std::deque<std::future<std::vector<float>>> inflight;
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (inflight.size() >= window) {
-          inflight.front().get();
-          inflight.pop_front();
-        }
-        inflight.push_back(set.submit(stream[i]));
-      }
-      while (!inflight.empty()) {
-        inflight.front().get();
-        inflight.pop_front();
-      }
+      NodeClient client(window);
+      for (std::size_t i = lo; i < hi; ++i) client.submit(set, stream[i]);
+      client.drain();
     });
   }
   for (auto& t : threads) t.join();
@@ -432,26 +466,15 @@ struct OverloadPoint {
 
 // Paced open loop at `offered_rps` with a kHigh/kLow traffic mix.
 // Rejected and shed requests are dropped (a retrying client's first
-// attempt); per-class survival is accounted at the call site since only
-// the caller knows each request's class.
+// attempt); per-class survival is accounted from the kOk answers.
 OverloadPoint drive_overload(Fleet& fleet,
                              const std::vector<std::int64_t>& stream,
                              double offered_rps, double low_frac) {
   const auto interval =
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(1.0 / offered_rps));
-  std::size_t offered[2] = {0, 0}, answered[2] = {0, 0};
-  std::deque<std::pair<serve::Priority, std::future<std::vector<float>>>>
-      inflight;
-  const auto reap_front = [&] {
-    try {
-      inflight.front().second.get();
-      ++answered[static_cast<std::size_t>(inflight.front().first)];
-    } catch (const serve::RejectedError&) {
-      // shed from the queue — counted by not incrementing answered
-    }
-    inflight.pop_front();
-  };
+  std::size_t offered[2] = {0, 0};
+  NodeClient client(4096);
   const auto t0 = std::chrono::steady_clock::now();
   auto next = t0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -461,11 +484,9 @@ OverloadPoint drive_overload(Fleet& fleet,
                          ? serve::Priority::kLow
                          : serve::Priority::kHigh;
     ++offered[static_cast<std::size_t>(pri)];
-    auto adm = fleet.set->try_submit(stream[i], pri);
-    if (adm.accepted) inflight.emplace_back(pri, std::move(adm.result));
-    while (inflight.size() > 4096) reap_front();
+    client.submit(*fleet.set, stream[i], pri);
   }
-  while (!inflight.empty()) reap_front();
+  client.drain();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -477,7 +498,7 @@ OverloadPoint drive_overload(Fleet& fleet,
   p.answered_rps = static_cast<double>(p.admitted_latency.count) / wall;
   const auto survival = [&](serve::Priority pri) {
     const auto i = static_cast<std::size_t>(pri);
-    return offered[i] ? 1.0 - static_cast<double>(answered[i]) /
+    return offered[i] ? 1.0 - static_cast<double>(client.ok(pri)) /
                                   static_cast<double>(offered[i])
                       : 0.0;
   };
@@ -508,11 +529,9 @@ struct DeadlinePoint {
   }
 };
 
-// Paced open loop at `offered_rps` over the v2 envelope API: every request
-// is a single-node envelope stamped with deadline_of(i) at submit time,
-// answered through a callback CompletionQueue (statuses counted on the
-// dispatcher thread — the per-request promise/future pair of the legacy
-// driver is gone from this hot path, which is the v2 claim).
+// Paced open loop at `offered_rps`: every request is a single-node
+// envelope stamped with deadline_of(i) at submit time, answered through a
+// callback CompletionQueue (statuses counted on the dispatcher thread).
 DeadlinePoint drive_deadline(
     Fleet& fleet, const std::vector<std::int64_t>& stream, double offered_rps,
     double low_frac,
@@ -601,14 +620,7 @@ RampPoint drive_ramp(Fleet& fleet, const std::vector<std::int64_t>& stream,
 
   RampPoint p;
   p.offered_mean_rps = serve::StagedRampPacer::kMeanMult * baseline_rps;
-  std::deque<std::future<std::vector<float>>> inflight;
-  const auto reap_front = [&] {
-    try {
-      inflight.front().get();
-    } catch (const serve::RejectedError&) {
-    }
-    inflight.pop_front();
-  };
+  NodeClient client(4096);
   const auto t0 = pacer.start();
   auto next_sample = t0;
   const auto sample_every = std::chrono::milliseconds(50);
@@ -633,11 +645,9 @@ RampPoint drive_ramp(Fleet& fleet, const std::vector<std::int64_t>& stream,
       next_sample = now + sample_every;
     }
     if (!pacer.pace()) break;  // the trace is wall-time-bounded
-    auto adm = fleet.set->try_submit(stream[i]);
-    if (adm.accepted) inflight.push_back(std::move(adm.result));
-    while (inflight.size() > 4096) reap_front();
+    client.submit(*fleet.set, stream[i]);
   }
-  while (!inflight.empty()) reap_front();
+  client.drain();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -37,7 +37,7 @@
 #                              registry/DWRR path (src/tenancy/), recorded
 #                              tenant ids riding the trace into the fleetsim
 #                              replay.  On crossproc legs the tenant id also
-#                              crosses the wire (protocol v2) and the
+#                              crosses the wire and the
 #                              replica servers' per-tenant exit lines are
 #                              collected into build/tenant-stats.txt.
 #                              0 (default) keeps every smoke untenanted.
@@ -99,6 +99,16 @@ fi
 echo "== tier-1 tests =="
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
+echo "== repository benchmark build + unit tests (perfbench/) =="
+# The benchmark (BENCHMARK.json, perfbench/) is its own CMake package over
+# this tree's library and replica server.  Building it on every leg makes a
+# serving-surface change that breaks the benchmark fail here, not in the
+# benchmark run.  Its own Release build: the sanitizer flags above belong
+# to the tier-1 tree.
+cmake -S perfbench -B build/perfbench
+cmake --build build/perfbench -j "$(nproc)"
+(cd build/perfbench && ctest --output-on-failure -R perfbench_tests)
+
 if [[ "${SERVE_AUTOSCALE}" == "1" ]]; then
   echo "== serve_cli autoscale smoke (staged ramp, 1..4 replicas) =="
   # The elastic-fleet smoke: a 6s staged load ramp against min=1..max=4
@@ -155,7 +165,7 @@ if [[ "${SERVE_CROSSPROC}" == "1" ]]; then
   # allocs/frame) as its own artifact next to the smoke output.
   grep "rpc fast path" "${CROSSPROC_OUT}" > build/rpc_stats.txt || true
   if [[ "${SERVE_TENANTS}" != "0" ]]; then
-    # Tenanted crossproc run: the tenant id crossed the wire on every v2
+    # Tenanted crossproc run: the tenant id crossed the wire on every
     # request, so each replica server reports per-tenant slices at exit —
     # the cross-process half of the per-tenant observability contract.
     # The surviving server's lines land in the log (the SIGKILLed victim

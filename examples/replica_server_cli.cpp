@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,8 +44,10 @@ using namespace ppgnn;
 
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
+// Raised by SIGTERM/SIGINT.  Lock-free, so the store is async-signal-safe.
+std::atomic<bool> g_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
+void on_signal(int) { g_stop.store(true, std::memory_order_release); }
 
 struct Args {
   std::string socket;      // unix:/path or tcp:host:port (required)
@@ -228,7 +231,7 @@ int main(int argc, char** argv) {
               serve::precision_name(prec), a.nodes);
   std::fflush(stdout);
   rpc::ReplicaServer server(std::move(session), cfg);
-  const int rc = server.run(&g_stop);
+  const int rc = server.run(g_stop);
   const auto& st = server.stats();
   std::printf("replica_server: pid %d exiting rc=%d (%zu admitted, %zu shed, "
               "%zu batches)\n",

@@ -122,8 +122,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -846,13 +844,13 @@ RunResult run_autoscale(const Args& a, const serve::ServingTestbed& tb,
   if (!trace_path.empty()) {
     rec = std::make_unique<serve::TraceRecorder>(pacer.start());
   }
-  std::deque<std::future<std::vector<float>>> inflight;
-  const auto reap_front = [&] {
-    try {
-      inflight.front().get();
-    } catch (const serve::RejectedError&) {
-    }
-    inflight.pop_front();
+  // Open loop: at most 4096 envelopes unreaped (refusals are answered at
+  // once); the statuses themselves are read off the fleet's stats.
+  serve::CompletionQueue cq;
+  std::size_t inflight = 0;
+  serve::ServeResponse resp;
+  const auto reap = [&] {
+    if (cq.wait_for(&resp, std::chrono::milliseconds(100))) --inflight;
   };
   const auto t0 = pacer.start();
   auto next_status = t0 + fc.stats_window;
@@ -896,11 +894,15 @@ RunResult run_autoscale(const Args& a, const serve::ServingTestbed& tb,
       rec->note(std::chrono::steady_clock::now(), {stream[i]}, pri,
                 /*deadline_us=*/0, /*tenant=*/0);
     }
-    auto adm = fleet.try_submit(stream[i], pri);
-    if (adm.accepted) inflight.push_back(std::move(adm.result));
-    while (inflight.size() > 4096) reap_front();
+    serve::ServeRequest req;
+    req.id = i;
+    req.nodes = {stream[i]};
+    req.priority = pri;
+    fleet.submit(std::move(req), cq);
+    ++inflight;
+    while (inflight > 4096) reap();
   }
-  while (!inflight.empty()) reap_front();
+  while (inflight > 0) reap();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

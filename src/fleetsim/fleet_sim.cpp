@@ -270,12 +270,15 @@ class Sim {
     Tp deadline = e.deadline_us > 0
                       ? now + std::chrono::microseconds(e.deadline_us)
                       : Tp::max();
-    // Tenant gate, same order as FleetManager::submit: ceiling clamp,
-    // default-deadline stamp, then the token bucket.  A refusal never
-    // reaches routing — the envelope dies at the front as kQuotaExceeded.
+    // Tenant gate, same order as FleetManager::submit: unregistered ids
+    // fold into the default tenant 0, then ceiling clamp, default-deadline
+    // stamp, and the token bucket.  A refusal never reaches routing — the
+    // envelope dies at the front as kQuotaExceeded.
+    std::uint32_t tenant = e.tenant;
     if (admission_) {
       const auto snap = cfg_.tenants->snapshot();
-      const tenancy::TenantContract& c = snap->of(e.tenant);
+      if (snap->contracts.count(tenant) == 0) tenant = 0;
+      const tenancy::TenantContract& c = snap->of(tenant);
       if (c.priority_ceiling == Priority::kLow) pri = Priority::kLow;
       if (deadline == Tp::max() && c.default_deadline_us > 0) {
         deadline = now + std::chrono::microseconds(c.default_deadline_us);
@@ -288,9 +291,9 @@ class Sim {
                   now.time_since_epoch())
                   .count()) /
           1e6;
-      if (!admission_->try_admit(e.tenant, e.nodes.size(), now_s)) {
+      if (!admission_->try_admit(tenant, e.nodes.size(), now_s)) {
         quota_refused_ += e.nodes.size();
-        quota_refused_by_[e.tenant] += e.nodes.size();
+        quota_refused_by_[tenant] += e.nodes.size();
         return;
       }
     }
@@ -307,7 +310,7 @@ class Sim {
         std::vector<std::int64_t> nodes;
         nodes.reserve(g.slots.size());
         for (const std::uint32_t s : g.slots) nodes.push_back(e.nodes[s]);
-        admit_parts(members_[g.member], nodes, pri, deadline, now, e.tenant);
+        admit_parts(members_[g.member], nodes, pri, deadline, now, tenant);
       }
     } else {
       const serve::QueueDepthFn depth = [this](std::size_t i) {
@@ -318,7 +321,7 @@ class Sim {
       targets.queue_depth = &depth;
       targets.ring = &ring_;
       const std::size_t m = router_->route(e.nodes[0], targets);
-      admit_parts(members_[m], e.nodes, pri, deadline, now, e.tenant);
+      admit_parts(members_[m], e.nodes, pri, deadline, now, tenant);
     }
   }
 

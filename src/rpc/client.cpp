@@ -46,19 +46,13 @@ bool write_all(int fd, const std::uint8_t* p, std::size_t n,
   return true;
 }
 
-// Sends Hello (offering `offer`), waits for HelloAck, and checks the
-// negotiated version is sane: within what this binary speaks and never
-// above our offer.  The FrameReader is local: handshake bytes never mix
-// with steady-state traffic.
-bool hello_exchange(int fd, Clock::time_point deadline, std::uint32_t offer,
-                    WireHelloAck* ack, std::string* err) {
+// Sends Hello, waits for HelloAck (whose decoder refuses any version but
+// ours).  The FrameReader is local: handshake bytes never mix with
+// steady-state traffic.
+bool hello_exchange(int fd, Clock::time_point deadline, WireHelloAck* ack,
+                    std::string* err) {
   std::vector<std::uint8_t> frame;
-  WireHello h;
-  h.protocol = offer;
-  const auto hello = encode_hello(h);
-  // Handshake frames pin frame-version 1 — negotiation hasn't happened yet.
-  append_frame(frame, MsgType::kHello, hello.data(), hello.size(),
-               /*version=*/1);
+  encode_hello_into(WireHello{}, frame);
   if (!write_all(fd, frame.data(), frame.size(), deadline, err)) return false;
 
   FrameReader reader;
@@ -71,12 +65,7 @@ bool hello_exchange(int fd, Clock::time_point deadline, std::uint32_t offer,
         if (err) *err = "handshake: expected HelloAck";
         return false;
       }
-      if (!decode_hello_ack(body.data(), body.size(), ack, err)) return false;
-      if (ack->protocol > offer) {
-        if (err) *err = "handshake: server acked above our offer";
-        return false;
-      }
-      return true;
+      return decode_hello_ack(body.data(), body.size(), ack, err);
     }
     if (reader.failed()) {
       if (err) *err = reader.error();
@@ -135,7 +124,7 @@ bool RpcClient::handshake(WireHelloAck* ack, std::string* err) {
     if (err) *err = last_err;
     return false;
   }
-  if (!hello_exchange(fd, deadline, cfg_.protocol, ack, err)) {
+  if (!hello_exchange(fd, deadline, ack, err)) {
     ::close(fd);
     std::lock_guard<std::mutex> lk(mu_);
     dead_ = true;
@@ -146,7 +135,6 @@ bool RpcClient::handshake(WireHelloAck* ack, std::string* err) {
     std::lock_guard<std::mutex> lk(mu_);
     fd_ = fd;
     connected_ = true;
-    protocol_ = static_cast<std::uint8_t>(ack->protocol);
   }
   io_ = std::thread([this] { io_loop(); });
   return true;
@@ -195,11 +183,9 @@ void RpcClient::call(WireRequest& req, std::chrono::milliseconds timeout,
       // loop's sleep (with uniform timeouts it never fires).
       need_wake = outbox_.empty() || p.expires < next_expiry_;
       if (p.expires < next_expiry_) next_expiry_ = p.expires;
-      const std::uint8_t proto = protocol_;
       outbox_.push_back(encode_pooled(
-          pool_, stats_,
-          [&req, proto](std::vector<std::uint8_t>& out) {
-            encode_request_into(req, out, proto);
+          pool_, stats_, [&req](std::vector<std::uint8_t>& out) {
+            encode_request_into(req, out);
           }));
     }
   }
@@ -226,11 +212,6 @@ std::size_t RpcClient::inflight() const {
 RpcStats RpcClient::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
-}
-
-std::uint8_t RpcClient::protocol() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return protocol_;
 }
 
 void RpcClient::wake() {
@@ -279,8 +260,8 @@ bool RpcClient::try_reconnect() {
   WireHelloAck ack;
   int fd = connect_to(cfg_.address, cfg_.connect_timeout, &err);
   bool ok = fd >= 0;
-  if (ok && !hello_exchange(fd, Clock::now() + cfg_.connect_timeout,
-                            cfg_.protocol, &ack, &err)) {
+  if (ok && !hello_exchange(fd, Clock::now() + cfg_.connect_timeout, &ack,
+                            &err)) {
     ::close(fd);
     ok = false;
   }
@@ -297,9 +278,6 @@ bool RpcClient::try_reconnect() {
     reconnect_attempts_ = 0;
     backoff_ = std::chrono::milliseconds(0);
     reader_ = FrameReader{};
-    // Re-negotiated per connection: a rolling server upgrade between the
-    // drop and this reconnect may have changed the answer.
-    protocol_ = static_cast<std::uint8_t>(ack.protocol);
     return true;
   }
   if (reconnect_attempts_ >= cfg_.max_reconnect_attempts) {

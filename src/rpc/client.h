@@ -50,10 +50,6 @@ struct RpcClientConfig {
   std::chrono::milliseconds backoff_initial{10};
   std::chrono::milliseconds backoff_max{500};
   int max_reconnect_attempts = 5;
-  // Wire version OFFERED in the Hello (the connection then runs at
-  // min(offer, server version)).  Defaults to the newest this binary
-  // speaks; tests pin 1 to exercise the v1 downgrade path.
-  std::uint32_t protocol = kWireVersion;
   // FLOOR on encode buffers kept warm on the frame pool's free list
   // (rpc/buffer.h).  The pool adapts upward to the high-water in-flight
   // count on its own, so steady-state transport memory tracks what the
@@ -102,9 +98,6 @@ class RpcClient {
   bool alive() const;          // connected and not shut down
   std::size_t inflight() const;
   const RpcClientConfig& config() const { return cfg_; }
-  // The NEGOTIATED wire version (min(our offer, server's kWireVersion)),
-  // valid after handshake(); requests encode at exactly this version.
-  std::uint8_t protocol() const;
   // Snapshot of the transport counters (frames per writev, pool hit rate,
   // allocations per frame — rpc/buffer.h).  Thread-safe.
   RpcStats stats() const;
@@ -158,9 +151,6 @@ class RpcClient {
   FramePool pool_;
   RpcStats stats_;
   std::uint64_t next_seq_ = 1;  // high bits of the wire id, never reused
-  // Negotiated per connection (reconnects re-negotiate — a rolling server
-  // upgrade may change the answer mid-life).  Guarded by mu_.
-  std::uint8_t protocol_ = kWireVersion;
   int fd_ = -1;
   bool connected_ = false;
   bool dead_ = false;      // reconnect attempts exhausted or handshake failed

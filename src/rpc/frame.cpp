@@ -189,17 +189,16 @@ void FrameReader::feed(const std::uint8_t* data, std::size_t n) {
   buf_.insert(buf_.end(), data, data + n);
 }
 
-bool FrameReader::next(MsgType* type, std::vector<std::uint8_t>* body,
-                       std::uint8_t* version) {
+bool FrameReader::next(MsgType* type, std::vector<std::uint8_t>* body) {
   const std::uint8_t* p = nullptr;
   std::size_t len = 0;
-  if (!next_view(type, &p, &len, version)) return false;
+  if (!next_view(type, &p, &len)) return false;
   body->assign(p, p + len);
   return true;
 }
 
 bool FrameReader::next_view(MsgType* type, const std::uint8_t** body,
-                            std::size_t* len, std::uint8_t* version) {
+                            std::size_t* len) {
   if (failed_) return false;
   if (buf_.size() - off_ < kFrameHeaderBytes) return false;
   FrameHeader h;
@@ -211,7 +210,6 @@ bool FrameReader::next_view(MsgType* type, const std::uint8_t** body,
   *type = h.type;
   *body = buf_.data() + off_ + kFrameHeaderBytes;
   *len = h.body_len;
-  if (version) *version = h.version;
   off_ += kFrameHeaderBytes + h.body_len;
   return true;
 }

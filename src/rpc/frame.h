@@ -52,16 +52,12 @@ class FrameReader {
   void feed(const std::uint8_t* data, std::size_t n);
   // Pops the next complete frame into (*type, *body); false when the buffer
   // holds less than one frame.  After a protocol violation failed() is set
-  // and next() returns false forever.  `version`, when non-null, receives
-  // the frame header's wire version — receivers decode version-dependent
-  // bodies (Request, v2+) per frame, not per process.
-  bool next(MsgType* type, std::vector<std::uint8_t>* body,
-            std::uint8_t* version = nullptr);
+  // and next() returns false forever.
+  bool next(MsgType* type, std::vector<std::uint8_t>* body);
   // Zero-copy variant: exposes the next frame's body in place.  The
   // pointer aliases the reader's buffer and is invalidated by the next
   // feed() (which may compact) — decode before feeding more bytes.
-  bool next_view(MsgType* type, const std::uint8_t** body, std::size_t* len,
-                 std::uint8_t* version = nullptr);
+  bool next_view(MsgType* type, const std::uint8_t** body, std::size_t* len);
   bool failed() const { return failed_; }
   const std::string& error() const { return error_; }
   std::size_t buffered() const { return buf_.size() - off_; }

@@ -97,8 +97,8 @@ void RemoteReplica::submit_parts(
   // nodes capacity persists — no per-submit allocation for the wire side.
   thread_local WireRequest wreq;
   wreq.priority = req.priority;
-  // The tenant travels with the parts (v2 wire); on a v1 connection the
-  // encoder drops it and the replica bills tenant 0.
+  // The tenant travels with the parts, so the replica's per-tenant stats
+  // and DWRR batching see the same id the front billed.
   wreq.tenant = req.tenant;
   // Always ship full logits: top-k truncation is the FRONT's RequestState
   // contract (its finish_part computes it), and keeping the replica

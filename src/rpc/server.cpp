@@ -4,11 +4,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <mutex>
@@ -21,14 +23,24 @@ namespace ppgnn::rpc {
 
 namespace {
 
-// One accepted connection.  The outbox is written by batcher dispatcher
-// threads (completion sinks) and flushed by the poll loop, hence the mutex;
-// `closed` makes a sink for a vanished client drop its response instead of
-// writing into a dead buffer.  The frame pool and counters are per
-// connection and ride under the same mutex (a replica serves one front, so
-// per-conn pooling IS global pooling here).
+// One accepted connection.  Its requests complete into `cq`, a
+// callback-mode CompletionQueue whose callback (running on a batcher
+// dispatcher thread) encodes the response into the outbox; the poll loop
+// flushes the outbox, hence the mutex.  `closed` makes a completion for a
+// vanished client drop its response instead of writing into a dead
+// buffer, and a closed connection is only destroyed once `cq` has
+// delivered every request it was handed (`submitted`, poll thread only) —
+// the queue must outlive its requests.  The frame pool and counters are
+// per connection and ride under the same mutex (a replica serves one
+// front, so per-conn pooling IS global pooling here).
 struct Conn {
-  Conn(int f, std::size_t pool_buffers) : fd(f), pool(pool_buffers) {}
+  using Respond = std::function<void(Conn&, serve::ServeResponse&&)>;
+  Conn(int f, std::size_t pool_buffers, const Respond& respond)
+      : fd(f),
+        pool(pool_buffers),
+        cq([this, respond](serve::ServeResponse&& r) {
+          respond(*this, std::move(r));
+        }) {}
   int fd;
   FrameReader reader;
   std::mutex mu;
@@ -36,11 +48,8 @@ struct Conn {
   FramePool pool;
   RpcStats stats;
   bool closed = false;
-  // Per-connection NEGOTIATED wire version: min(client offer, ours), set
-  // while handling the Hello and read by completion sinks when framing
-  // responses.  Both sides happen under `mu` (the sinks encode inside
-  // enqueue()), so a plain byte suffices.
-  std::uint8_t protocol = kWireVersion;
+  serve::CompletionQueue cq;
+  std::size_t submitted = 0;
 
   // Encodes one frame into a pooled buffer via `encode` (a *_into
   // encoder).  Returns true when the outbox went idle->busy: only that
@@ -61,6 +70,7 @@ struct Conn {
     std::lock_guard<std::mutex> lk(mu);
     return closed || outbox.empty();
   }
+  bool answered_all() const { return cq.delivered() == submitted; }
 };
 
 serve::ServeStatus part_wire_status(serve::ServeStatus envelope,
@@ -75,12 +85,18 @@ serve::ServeStatus part_wire_status(serve::ServeStatus envelope,
 
 // Fills `w` (a reusable scratch) from a finished ServeResponse.  The
 // per-part payloads are MOVED out of `resp` — it owns them and dies with
-// the completion sink — so building the wire shape costs zero allocations:
-// the scratch's parts array keeps its capacity and each moved-in vector
-// replaces (frees) the one left over from the previous response.
-void to_wire_into(serve::ServeResponse& resp, std::uint64_t wire_id,
-                  serve::ResultMode mode, WireResponse& w) {
-  w.id = wire_id;
+// the completion callback — so building the wire shape costs zero
+// allocations: the scratch's parts array keeps its capacity and each
+// moved-in vector replaces (frees) the one left over from the previous
+// response.  The response id is the client's wire id (handle_request
+// passes it through), and the result mode shows in the response's shape:
+// a top-k answer carries one (possibly empty) entry list per node, a
+// full-logits answer none.
+void to_wire_into(serve::ServeResponse& resp, WireResponse& w) {
+  const serve::ResultMode mode = resp.topk.empty()
+                                     ? serve::ResultMode::kFullLogits
+                                     : serve::ResultMode::kTopK;
+  w.id = resp.id;
   w.status = resp.status;
   w.mode = mode;
   w.timings = resp.timings;
@@ -121,7 +137,7 @@ ReplicaServer::ReplicaServer(std::unique_ptr<serve::InferenceSession> session,
 
 ReplicaServer::~ReplicaServer() = default;
 
-int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
+int ReplicaServer::run(const std::atomic<bool>& stop) {
   std::string err;
   int listen_fd = listen_on(cfg_.address, &err);
   if (listen_fd < 0) {
@@ -142,7 +158,23 @@ int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
   };
 
   std::map<int, std::shared_ptr<Conn>> conns;
+  // Closed connections whose requests are still in the batcher.
+  std::vector<std::shared_ptr<Conn>> closing;
   std::atomic<std::size_t> inflight{0};
+  // Every response lands here, on the dispatcher thread that finished the
+  // envelope's last part.  One wire-shape scratch per dispatcher thread:
+  // to_wire_into moves the payloads out of `resp` and reuses the
+  // scratch's parts capacity, so a completion allocates nothing on its way
+  // to the outbox (the pooled encode buffer is recycled too).
+  const Conn::Respond respond = [&inflight, wake](Conn& conn,
+                                                  serve::ServeResponse&& resp) {
+    thread_local WireResponse w;
+    to_wire_into(resp, w);
+    const bool need_wake = conn.enqueue(
+        [](std::vector<std::uint8_t>& out) { encode_response_into(w, out); });
+    inflight.fetch_sub(1, std::memory_order_relaxed);
+    if (need_wake) wake();
+  };
   // HelloAck advertises the logits width; measured by running one real
   // inference, which doubles as the health check the Warming handshake
   // exists for — a replica that cannot answer node 0 never acks.
@@ -165,28 +197,10 @@ int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
     sreq.tenant = wreq.tenant;
     sreq.deadline = budget_us_to_deadline(wreq.deadline_rel_us,
                                           std::chrono::steady_clock::now());
-    const std::uint64_t wire_id = wreq.id;
-    const serve::ResultMode mode = wreq.mode;
     inflight.fetch_add(1, std::memory_order_relaxed);
-    auto state = std::make_shared<serve::RequestState>(
-        std::move(sreq),
-        [conn, wire_id, mode, &inflight,
-         wake](serve::ServeResponse&& resp) {
-          // One wire-shape scratch per dispatcher thread: to_wire_into
-          // moves the payloads out of `resp` and reuses the scratch's
-          // parts capacity, so a completion allocates nothing on its way
-          // to the outbox (the pooled encode buffer is recycled too).
-          thread_local WireResponse w;
-          to_wire_into(resp, wire_id, mode, w);
-          // conn->protocol is read under conn->mu (enqueue runs the encode
-          // callback locked), matching the Hello handler's locked write.
-          const bool need_wake =
-              conn->enqueue([&conn](std::vector<std::uint8_t>& out) {
-                encode_response_into(w, out, conn->protocol);
-              });
-          inflight.fetch_sub(1, std::memory_order_relaxed);
-          if (need_wake) wake();
-        });
+    ++conn->submitted;
+    auto state =
+        std::make_shared<serve::RequestState>(std::move(sreq), &conn->cq);
     const std::size_t parts = state->parts();
     auto bounce = [&state, parts] {
       for (std::uint32_t slot = 0; slot < parts; ++slot) {
@@ -219,7 +233,7 @@ int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
     // kOverload / kDeadline: the batcher resolved the parts itself.
   };
 
-  auto close_conn = [&conns, this](int fd) {
+  auto close_conn = [&conns, &closing, this](int fd) {
     const auto it = conns.find(fd);
     if (it == conns.end()) return;
     {
@@ -228,6 +242,7 @@ int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
       rpc_stats_.merge(it->second->stats);
     }
     ::close(fd);
+    if (!it->second->answered_all()) closing.push_back(it->second);
     conns.erase(it);
   };
 
@@ -237,7 +252,7 @@ int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
   // frames this only re-grows what each envelope actually ships.
   WireRequest wreq;
   for (;;) {
-    if (!draining && *stop) {
+    if (!draining && stop.load(std::memory_order_acquire)) {
       draining = true;
       drain_deadline = std::chrono::steady_clock::now() + cfg_.drain_timeout;
       if (listen_fd >= 0) {
@@ -246,6 +261,11 @@ int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
       }
       batcher.begin_drain();
     }
+    closing.erase(std::remove_if(closing.begin(), closing.end(),
+                                 [](const std::shared_ptr<Conn>& c) {
+                                   return c->answered_all();
+                                 }),
+                  closing.end());
     if (draining) {
       bool all_flushed = inflight.load(std::memory_order_relaxed) == 0;
       for (const auto& [fd, conn] : conns) {
@@ -279,8 +299,8 @@ int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
           const int cfd = ::accept4(listen_fd, nullptr, nullptr,
                                     SOCK_CLOEXEC | SOCK_NONBLOCK);
           if (cfd < 0) break;
-          conns.emplace(cfd,
-                        std::make_shared<Conn>(cfd, cfg_.frame_pool_buffers));
+          conns.emplace(cfd, std::make_shared<Conn>(
+                                 cfd, cfg_.frame_pool_buffers, respond));
         }
       }
       ++idx;
@@ -325,30 +345,22 @@ int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
         MsgType type;
         const std::uint8_t* body = nullptr;
         std::size_t body_len = 0;
-        std::uint8_t fver = kWireVersion;
         bool proto_err = false;
-        while (conn->reader.next_view(&type, &body, &body_len, &fver)) {
+        while (conn->reader.next_view(&type, &body, &body_len)) {
           if (type == MsgType::kHello) {
+            // A Hello at any other version (or with a bad magic) fails
+            // the handshake: the connection closes without an ack.
             WireHello hello;
             std::string herr;
             if (!decode_hello(body, body_len, &hello, &herr)) {
               proto_err = true;
               break;
             }
-            // Negotiate: ack min(client offer, what we speak), and frame
-            // everything after the handshake at that version.
-            const std::uint8_t negotiated = static_cast<std::uint8_t>(
-                std::min<std::uint32_t>(hello.protocol, kWireVersion));
-            {
-              std::lock_guard<std::mutex> lk(conn->mu);
-              conn->protocol = negotiated;
-            }
             if (classes == 0) {
               classes = static_cast<std::uint32_t>(
                   session_->infer_one(0).size());
             }
             WireHelloAck ack;
-            ack.protocol = negotiated;
             ack.num_nodes = session_->num_nodes();
             ack.classes = classes;
             ack.precision = static_cast<std::uint8_t>(session_->precision());
@@ -357,7 +369,7 @@ int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
             });
           } else if (type == MsgType::kRequest) {
             std::string rerr;
-            if (!decode_request(body, body_len, &wreq, &rerr, fver)) {
+            if (!decode_request(body, body_len, &wreq, &rerr)) {
               proto_err = true;
               break;
             }

@@ -4,10 +4,11 @@
 // decoded Request becomes a RequestState submitted to a real MicroBatcher,
 // so admission control, priority classes, deadline shedding and per-stage
 // timings all behave exactly as they do in-process — the wire adds
-// transport, not a second policy implementation.  Responses are encoded by
-// the envelope's completion sink (running on the batcher's dispatcher
-// thread) into the owning connection's outbox; a single poll() loop accepts
-// connections, reads frames, and flushes outboxes.
+// transport, not a second policy implementation.  Each connection owns a
+// callback-mode CompletionQueue whose callback (running on the batcher's
+// dispatcher thread) encodes responses into that connection's outbox; a
+// single poll() loop accepts connections, reads frames, and flushes
+// outboxes.
 //
 // Shutdown contract (the Draining half of the fleet's lifecycle): when the
 // stop flag rises — replica_server_cli raises it from SIGTERM — the server
@@ -18,7 +19,7 @@
 // somewhere else.
 #pragma once
 
-#include <csignal>
+#include <atomic>
 #include <memory>
 #include <string>
 
@@ -49,10 +50,11 @@ class ReplicaServer {
   ReplicaServer(const ReplicaServer&) = delete;
   ReplicaServer& operator=(const ReplicaServer&) = delete;
 
-  // Binds, serves until *stop becomes nonzero, drains, returns 0 on a clean
-  // exit (nonzero on bind/protocol-level failures).  `stop` is typically a
-  // sig_atomic_t flipped by a SIGTERM handler.
-  int run(const volatile std::sig_atomic_t* stop);
+  // Binds, serves until `stop` becomes true, drains, returns 0 on a clean
+  // exit (nonzero on bind/protocol-level failures).  `stop` is raised from
+  // another thread or from a SIGTERM handler (a lock-free atomic store is
+  // async-signal-safe; a volatile flag would race with the serving thread).
+  int run(const std::atomic<bool>& stop);
 
   const serve::ServerStats& stats() const { return *stats_; }
   serve::InferenceSession& session() { return *session_; }

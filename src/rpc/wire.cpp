@@ -99,15 +99,27 @@ struct Reader {
   }
 };
 
+// Reserved bytes are written as zero and must read back as zero: a build
+// that gave them meaning is another version, refused rather than misread.
+constexpr const char* kNonzeroReserved = "ppgnn-wire: nonzero reserved field";
+
 bool fail(std::string* err, const char* what) {
   if (err) *err = what;
   return false;
 }
 
+// Version refusals name both versions, so a mixed-build fleet says why it
+// will not talk instead of just dropping connections.
+bool fail_version(std::string* err, const char* what, std::uint32_t got) {
+  if (err) {
+    *err = std::string("ppgnn-wire: unsupported ") + what + " " +
+           std::to_string(got) + " (this build speaks only " +
+           std::to_string(kWireVersion) + ")";
+  }
+  return false;
+}
+
 bool valid_status(std::uint8_t s) {
-  // kQuotaExceeded (5) is a v2 addition, but accepting it unconditionally
-  // is safe: a v1 peer never sends it, and rejecting by version would buy
-  // nothing but a second code path.
   return s <= static_cast<std::uint8_t>(serve::ServeStatus::kQuotaExceeded);
 }
 
@@ -134,17 +146,13 @@ void hello_ack_body_into(const WireHelloAck& a,
   out.push_back(0);  // reserved
 }
 
-void request_body_into(const WireRequest& r, std::vector<std::uint8_t>& out,
-                       std::uint8_t protocol) {
+void request_body_into(const WireRequest& r, std::vector<std::uint8_t>& out) {
   put_u64(out, r.id);
   out.push_back(static_cast<std::uint8_t>(r.priority));
   out.push_back(static_cast<std::uint8_t>(r.mode));
   put_u16(out, r.topk);
   put_i64(out, r.deadline_rel_us);
-  // v2 inserts the tenant id here; a v1 connection gets the v1 layout
-  // byte for byte (the tenant is simply dropped — default-tenant billing
-  // on the other end).
-  if (protocol >= 2) put_u32(out, r.tenant);
+  put_u32(out, r.tenant);
   put_u32(out, static_cast<std::uint32_t>(r.nodes.size()));
   for (const std::int64_t n : r.nodes) put_i64(out, n);
 }
@@ -178,11 +186,8 @@ void response_body_into(const WireResponse& r,
 
 // Frame-appending skeleton: write a placeholder header, append the body,
 // then patch body_len once it is known — one pass, no temporary vector.
-// `version` is the connection's negotiated wire version (handshake frames
-// pin it to 1 — see the negotiation note in wire.h).
 template <typename BodyFn>
-void frame_into(MsgType type, std::uint8_t version,
-                std::vector<std::uint8_t>& out, BodyFn&& body) {
+void frame_into(MsgType type, std::vector<std::uint8_t>& out, BodyFn&& body) {
   const std::size_t hdr = out.size();
   out.resize(hdr + kFrameHeaderBytes, 0);
   body(out);
@@ -192,7 +197,7 @@ void frame_into(MsgType type, std::uint8_t version,
         static_cast<std::uint8_t>(body_len >> (8 * i));
   }
   out[hdr + 4] = static_cast<std::uint8_t>(type);
-  out[hdr + 5] = version;
+  out[hdr + 5] = kWireVersion;
   // bytes 6..7 (reserved) stay zero from the resize
 }
 
@@ -204,7 +209,7 @@ void encode_frame_header(const FrameHeader& h,
     out[i] = static_cast<std::uint8_t>(h.body_len >> (8 * i));
   }
   out[4] = static_cast<std::uint8_t>(h.type);
-  out[5] = h.version;
+  out[5] = kWireVersion;
   out[6] = 0;
   out[7] = 0;  // reserved
 }
@@ -214,11 +219,12 @@ bool decode_frame_header(const std::uint8_t in[kFrameHeaderBytes],
   Reader r{in, kFrameHeaderBytes};
   out->body_len = r.u32();
   const std::uint8_t type = r.u8();
-  out->version = r.u8();
-  r.u16();  // reserved
-  if (out->version < kMinWireVersion || out->version > kWireVersion) {
-    return fail(err, "ppgnn-wire: unsupported version");
+  const std::uint8_t version = r.u8();
+  const std::uint16_t reserved = r.u16();
+  if (version != kWireVersion) {
+    return fail_version(err, "frame version", version);
   }
+  if (reserved != 0) return fail(err, kNonzeroReserved);
   switch (type) {
     case static_cast<std::uint8_t>(MsgType::kHello):
     case static_cast<std::uint8_t>(MsgType::kHelloAck):
@@ -236,12 +242,10 @@ bool decode_frame_header(const std::uint8_t in[kFrameHeaderBytes],
 }
 
 void append_frame(std::vector<std::uint8_t>& out, MsgType type,
-                  const std::uint8_t* body, std::size_t body_len,
-                  std::uint8_t version) {
+                  const std::uint8_t* body, std::size_t body_len) {
   FrameHeader h;
   h.body_len = static_cast<std::uint32_t>(body_len);
   h.type = type;
-  h.version = version;
   std::uint8_t hdr[kFrameHeaderBytes];
   encode_frame_header(h, hdr);
   out.insert(out.end(), hdr, hdr + kFrameHeaderBytes);
@@ -256,8 +260,7 @@ std::vector<std::uint8_t> encode_hello(const WireHello& h) {
 }
 
 void encode_hello_into(const WireHello& h, std::vector<std::uint8_t>& out) {
-  // Handshake frames always travel at frame-version 1 (pre-negotiation).
-  frame_into(MsgType::kHello, /*version=*/1, out,
+  frame_into(MsgType::kHello, out,
              [&h](std::vector<std::uint8_t>& o) { hello_body_into(h, o); });
 }
 
@@ -268,10 +271,8 @@ bool decode_hello(const std::uint8_t* body, std::size_t len, WireHello* out,
   out->protocol = r.u32();
   if (!r.ok || r.left != 0) return fail(err, "ppgnn-wire: bad Hello length");
   if (out->magic != kWireMagic) return fail(err, "ppgnn-wire: bad magic");
-  // The offer may be anything >= 1 — the server clamps with min(), so a
-  // client from the future still negotiates down to what we speak.
-  if (out->protocol < kMinWireVersion) {
-    return fail(err, "ppgnn-wire: unsupported protocol");
+  if (out->protocol != kWireVersion) {
+    return fail_version(err, "protocol", out->protocol);
   }
   return true;
 }
@@ -285,8 +286,7 @@ std::vector<std::uint8_t> encode_hello_ack(const WireHelloAck& a) {
 
 void encode_hello_ack_into(const WireHelloAck& a,
                            std::vector<std::uint8_t>& out) {
-  // Handshake frames always travel at frame-version 1 (pre-negotiation).
-  frame_into(MsgType::kHelloAck, /*version=*/1, out,
+  frame_into(MsgType::kHelloAck, out,
              [&a](std::vector<std::uint8_t>& o) {
                hello_ack_body_into(a, o);
              });
@@ -300,49 +300,40 @@ bool decode_hello_ack(const std::uint8_t* body, std::size_t len,
   out->num_nodes = r.u64();
   out->classes = r.u32();
   out->precision = r.u8();
-  r.u8();
-  r.u8();
-  r.u8();  // reserved
+  const std::uint32_t reserved = r.u8() | r.u8() | r.u8();
   if (!r.ok || r.left != 0) {
     return fail(err, "ppgnn-wire: bad HelloAck length");
   }
+  if (reserved != 0) return fail(err, kNonzeroReserved);
   if (out->magic != kWireMagic) return fail(err, "ppgnn-wire: bad magic");
-  // The ack carries the NEGOTIATED version, which must be one we speak.
-  if (out->protocol < kMinWireVersion || out->protocol > kWireVersion) {
-    return fail(err, "ppgnn-wire: unsupported protocol");
+  if (out->protocol != kWireVersion) {
+    return fail_version(err, "protocol", out->protocol);
   }
   return true;
 }
 
-std::vector<std::uint8_t> encode_request(const WireRequest& r,
-                                         std::uint8_t protocol) {
+std::vector<std::uint8_t> encode_request(const WireRequest& r) {
   std::vector<std::uint8_t> out;
   out.reserve(28 + r.nodes.size() * 8);
-  request_body_into(r, out, protocol);
+  request_body_into(r, out);
   return out;
 }
 
-void encode_request_into(const WireRequest& r, std::vector<std::uint8_t>& out,
-                         std::uint8_t protocol) {
+void encode_request_into(const WireRequest& r, std::vector<std::uint8_t>& out) {
   out.reserve(out.size() + kFrameHeaderBytes + 28 + r.nodes.size() * 8);
-  frame_into(MsgType::kRequest, protocol, out,
-             [&r, protocol](std::vector<std::uint8_t>& o) {
-               request_body_into(r, o, protocol);
-             });
+  frame_into(MsgType::kRequest, out,
+             [&r](std::vector<std::uint8_t>& o) { request_body_into(r, o); });
 }
 
 bool decode_request(const std::uint8_t* body, std::size_t len,
-                    WireRequest* out, std::string* err,
-                    std::uint8_t version) {
+                    WireRequest* out, std::string* err) {
   Reader r{body, len};
   out->id = r.u64();
   const std::uint8_t pri = r.u8();
   const std::uint8_t mode = r.u8();
   out->topk = r.u16();
   out->deadline_rel_us = r.i64();
-  // v2 carries the tenant id between the deadline and the node count; a v1
-  // frame simply doesn't, and everything from a v1 peer bills to tenant 0.
-  out->tenant = version >= 2 ? r.u32() : 0;
+  out->tenant = r.u32();
   const std::uint32_t count = r.u32();
   if (!r.ok) return fail(err, "ppgnn-wire: truncated Request");
   if (pri > static_cast<std::uint8_t>(serve::Priority::kLow)) {
@@ -392,9 +383,9 @@ std::vector<std::uint8_t> encode_response(const WireResponse& r) {
   return out;
 }
 
-void encode_response_into(const WireResponse& r, std::vector<std::uint8_t>& out,
-                          std::uint8_t protocol) {
-  frame_into(MsgType::kResponse, protocol, out,
+void encode_response_into(const WireResponse& r,
+                          std::vector<std::uint8_t>& out) {
+  frame_into(MsgType::kResponse, out,
              [&r](std::vector<std::uint8_t>& o) { response_body_into(r, o); });
 }
 
@@ -404,13 +395,14 @@ bool decode_response(const std::uint8_t* body, std::size_t len,
   out->id = r.u64();
   const std::uint8_t status = r.u8();
   const std::uint8_t mode = r.u8();
-  r.u16();  // reserved
+  const std::uint16_t reserved = r.u16();
   const std::uint32_t part_count = r.u32();
   out->timings.admission_wait_us = r.f64();
   out->timings.dispatch_delay_us = r.f64();
   out->timings.compute_us = r.f64();
   const std::uint32_t error_len = r.u32();
   if (!r.ok) return fail(err, "ppgnn-wire: truncated Response");
+  if (reserved != 0) return fail(err, kNonzeroReserved);
   if (!valid_status(status)) return fail(err, "ppgnn-wire: bad status");
   if (mode > static_cast<std::uint8_t>(serve::ResultMode::kTopK)) {
     return fail(err, "ppgnn-wire: bad result mode");
@@ -423,6 +415,11 @@ bool decode_response(const std::uint8_t* body, std::size_t len,
   out->error.assign(reinterpret_cast<const char*>(r.p), error_len);
   r.p += error_len;
   r.left -= error_len;
+  // Every part is at least its status byte and value count: a corrupt
+  // part_count must be refused before it sizes the parts array.
+  if (part_count > r.left / 5) {
+    return fail(err, "ppgnn-wire: part count past end of frame");
+  }
   // Decode INTO the caller's vectors (resize, not clear+push_back): a
   // long-lived scratch WireResponse keeps its parts array and each part's
   // logits/topk capacity across frames, so steady-state decode allocates

@@ -1,7 +1,7 @@
-// ppgnn-wire v2: the binary codec that carries ServeRequest/ServeResponse
+// ppgnn-wire: the binary codec that carries ServeRequest/ServeResponse
 // envelopes across a process boundary.
 //
-// The serving API v2 envelope (serve/serve_api.h) was designed as a wire
+// The serving API's envelope (serve/serve_api.h) was designed as a wire
 // format — a correlation id, plain enums, a deadline, node ids, and a
 // response of per-part rows — so the codec here is a direct field-for-field
 // encoding of it, with exactly one translation: DEADLINES.  A ServeRequest
@@ -23,20 +23,12 @@
 //     kMaxFrameBody, and any length field that disagrees with the actual
 //     byte count — a corrupt frame kills the connection, never the process.
 //
-// VERSION NEGOTIATION (v2).  v2 adds one field — the tenant id (u32) in
-// the Request body, between deadline_rel_us and the node count — and the
-// kQuotaExceeded status value (5).  The handshake negotiates per
-// connection:
-//   * Hello and HelloAck FRAMES always carry frame-header version 1, on
-//     both ends, forever: negotiation hasn't happened yet when they are
-//     sent, and a fixed pre-negotiation version is what lets any two
-//     versions complete a handshake.  The OFFER travels in the Hello
-//     body's `protocol` field.
-//   * The server acks min(client_protocol, kWireVersion); both sides then
-//     frame every post-handshake message at the negotiated version, and
-//     decode Request bodies per the frame's header version — a v1 client
-//     against a v2 server works unmodified (its requests simply carry
-//     tenant 0).
+// ONE VERSION.  Every frame header, the Hello's `protocol` and the
+// HelloAck's `protocol` carry exactly kWireVersion; a peer that says
+// anything else is refused (at the handshake, or as a protocol violation
+// that closes the connection afterwards).  Every peer is built from the
+// same tree, so a fleet upgrades by rolling every process — mixed builds
+// never talk.
 #pragma once
 
 #include <chrono>
@@ -49,10 +41,6 @@
 namespace ppgnn::rpc {
 
 inline constexpr std::uint8_t kWireVersion = 2;
-// Oldest version current binaries still decode (see the negotiation note
-// above); frame headers outside [kMinWireVersion, kWireVersion] are
-// rejected.
-inline constexpr std::uint8_t kMinWireVersion = 1;
 // Bytes "PPG1" on the wire (little-endian u32) — the handshake's sanity
 // check that both ends speak ppgnn-wire at all.
 inline constexpr std::uint32_t kWireMagic = 0x31475050u;
@@ -76,20 +64,19 @@ enum class MsgType : std::uint8_t {
 struct FrameHeader {
   std::uint32_t body_len = 0;
   MsgType type = MsgType::kHello;
-  std::uint8_t version = kWireVersion;
 };
 
+// Writes the header at kWireVersion.
 void encode_frame_header(const FrameHeader& h,
                          std::uint8_t out[kFrameHeaderBytes]);
-// False (with *err set) on bad version, unknown type, or oversized body.
+// False (with *err set) on a version other than kWireVersion, an unknown
+// type, or an oversized body.
 bool decode_frame_header(const std::uint8_t in[kFrameHeaderBytes],
                          FrameHeader* out, std::string* err);
 
-// Appends a complete frame (header + body) to `out`, framed at `version`
-// (the negotiated one; handshake frames pin 1).
+// Appends a complete frame (header + body) to `out`.
 void append_frame(std::vector<std::uint8_t>& out, MsgType type,
-                  const std::uint8_t* body, std::size_t body_len,
-                  std::uint8_t version = kWireVersion);
+                  const std::uint8_t* body, std::size_t body_len);
 
 // Append-style `*_into` encoders (declared per section below): each
 // appends one COMPLETE frame (header + body) to `out` without clearing it,
@@ -101,14 +88,15 @@ void append_frame(std::vector<std::uint8_t>& out, MsgType type,
 
 // --- Handshake ------------------------------------------------------------
 
+// Both handshake bodies name the sender's wire version; the decoders
+// refuse any version but kWireVersion with an error that names it.
 struct WireHello {
   std::uint32_t magic = kWireMagic;
-  std::uint32_t protocol = kWireVersion;  // the client's OFFER (highest)
+  std::uint32_t protocol = kWireVersion;
 };
 
 struct WireHelloAck {
   std::uint32_t magic = kWireMagic;
-  // The NEGOTIATED version: min(client offer, server kWireVersion).
   std::uint32_t protocol = kWireVersion;
   std::uint64_t num_nodes = 0;  // rows this replica can answer for
   std::uint32_t classes = 0;    // logits row width
@@ -133,22 +121,14 @@ struct WireRequest {
   serve::ResultMode mode = serve::ResultMode::kFullLogits;
   std::uint16_t topk = 3;             // kTopK only
   std::int64_t deadline_rel_us = -1;  // remaining budget; -1 = none
-  std::uint32_t tenant = 0;           // v2+; v1 peers neither send nor see it
+  std::uint32_t tenant = 0;           // billed tenant (src/tenancy/)
   std::vector<std::int64_t> nodes;    // >= 1
 };
 
-// `protocol` is the connection's NEGOTIATED version: at 1 the body omits
-// the tenant field (a v1 peer must receive exactly the v1 layout), at 2+
-// it carries it.  Likewise decode_request parses the body per `version` —
-// pass the frame header's version, which the negotiation guarantees
-// matches what the peer encoded.
-std::vector<std::uint8_t> encode_request(const WireRequest& r,
-                                         std::uint8_t protocol = kWireVersion);
-void encode_request_into(const WireRequest& r, std::vector<std::uint8_t>& out,
-                         std::uint8_t protocol = kWireVersion);
+std::vector<std::uint8_t> encode_request(const WireRequest& r);
+void encode_request_into(const WireRequest& r, std::vector<std::uint8_t>& out);
 bool decode_request(const std::uint8_t* body, std::size_t len,
-                    WireRequest* out, std::string* err,
-                    std::uint8_t version = kWireVersion);
+                    WireRequest* out, std::string* err);
 
 // Deadline translation (the one non-trivial conversion, see header note).
 std::int64_t deadline_to_budget_us(std::chrono::steady_clock::time_point d,
@@ -175,14 +155,10 @@ struct WireResponse {
   std::vector<WirePart> parts;  // one per request node, same order
 };
 
-// The Response body layout is identical in v1 and v2 (the tenant never
-// travels back — the client still holds it); `protocol` only sets the
-// frame header's version byte to the connection's negotiated value.  A v1
-// connection also never carries status kQuotaExceeded (quota refusals are
-// resolved at the fleet front and don't cross the wire at all).
+// The tenant never travels back — the client still holds it.
 std::vector<std::uint8_t> encode_response(const WireResponse& r);
-void encode_response_into(const WireResponse& r, std::vector<std::uint8_t>& out,
-                          std::uint8_t protocol = kWireVersion);
+void encode_response_into(const WireResponse& r,
+                          std::vector<std::uint8_t>& out);
 bool decode_response(const std::uint8_t* body, std::size_t len,
                      WireResponse* out, std::string* err);
 

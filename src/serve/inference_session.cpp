@@ -39,7 +39,7 @@ InferenceSession::InferenceSession(std::unique_ptr<core::PpModel> model,
   // The label must match the model's real state (Linear keys its int8
   // path on the quantized block alone), otherwise a fleet could serve
   // fp32 while reporting int8 — or the reverse — and downstream checks
-  // like ReplicaSet's would be validating a fiction.
+  // like FleetManager's would be validating a fiction.
   std::vector<nn::Linear*> linears;
   model_->collect_linears(linears);
   bool any_quantized = false, all_quantized = !linears.empty();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace ppgnn::serve {
@@ -124,8 +125,8 @@ void MicroBatcher::sweep_expired_low_locked(
       }
     } else {
       // FIFO baseline: within one tenant's sub-queue, age ordering equals
-      // expiry ordering, so only its front can be expired — the PR-2
-      // drop-head pass, per tenant.
+      // expiry ordering, so only its front can be expired: drop-head,
+      // per tenant.
       while (!q.empty() && now - q.front().enqueued > cfg_.shed_budget) {
         ++counters_.admission.shed;
         --low.size;
@@ -336,8 +337,8 @@ RejectReason MicroBatcher::try_submit_parts(
     }
   }
   // Deliveries and stats happen outside the queue lock: finishing a part
-  // may run an arbitrary caller callback (CompletionQueue sinks), and a
-  // callback that blocked on mu_ would deadlock the admission path.
+  // may run an arbitrary caller callback (a callback-mode CompletionQueue),
+  // and a callback that blocked on mu_ would deadlock the admission path.
   if (!victims.empty()) {
     cv_space_.notify_all();
     finish_shed(victims, cfg_.clock->now());
@@ -363,52 +364,6 @@ RejectReason MicroBatcher::try_submit_parts(
                        nullptr, 0, StageTimings{});
   }
   return reason;
-}
-
-Admission MicroBatcher::try_submit(std::int64_t node, Priority pri) {
-  // The PR-1 surface as a thin shim over a single-node envelope: the
-  // envelope's sink fulfils a promise, so legacy callers keep their
-  // future — at the cost of the promise allocation the v2 path exists to
-  // avoid.
-  auto prom = std::make_shared<std::promise<std::vector<float>>>();
-  auto fut = prom->get_future();
-  ServeRequest req;
-  req.nodes.push_back(node);
-  req.priority = pri;
-  auto state = std::make_shared<RequestState>(
-      std::move(req), [prom](ServeResponse&& r) {
-        switch (r.status) {
-          case ServeStatus::kOk:
-            prom->set_value(std::move(r.logits[0]));
-            break;
-          case ServeStatus::kError:
-            prom->set_exception(r.error);
-            break;
-          default:
-            prom->set_exception(std::make_exception_ptr(RejectedError(
-                "shed from queue: delay budget exceeded")));
-        }
-      });
-  const std::uint32_t slot = 0;
-  const RejectReason reason = try_submit_parts(state, &slot, 1);
-  Admission a;
-  a.accepted = reason == RejectReason::kNone;
-  a.reason = reason;
-  if (a.accepted) a.result = std::move(fut);
-  return a;
-}
-
-std::future<std::vector<float>> MicroBatcher::submit(std::int64_t node,
-                                                     Priority pri) {
-  Admission a = try_submit(node, pri);
-  if (!a.accepted) {
-    throw RejectedError("rejected at admission: queue-delay budget exceeded");
-  }
-  return std::move(a.result);
-}
-
-std::vector<float> MicroBatcher::infer_blocking(std::int64_t node) {
-  return submit(node).get();
 }
 
 std::vector<MicroBatcher::Pending> MicroBatcher::next_batch(
@@ -449,7 +404,7 @@ std::vector<MicroBatcher::Pending> MicroBatcher::next_batch(
     // and a lone tenant degenerates to the old FIFO.  A part whose
     // explicit deadline is already blown is moved to `expired` instead of
     // the batch — shedding it here, BEFORE compute, is the deadline-aware
-    // half of the v2 contract: a blown request must not burn a batch slot
+    // half of the envelope contract: a blown request must not burn a batch slot
     // on an answer nobody will read.
     for (auto& cq : queues_) {
       while (batch.size() < cfg_.max_batch_size && !cq.empty()) {

@@ -1,6 +1,6 @@
 // Dynamic micro-batching: coalesce concurrent requests into model-sized
-// batches — with admission control, priority classes, and (API v2)
-// deadline-aware shedding over envelope parts.
+// batches — with admission control, priority classes, and deadline-aware
+// shedding over envelope parts.
 //
 // One forward over b rows costs far less than b forwards over one row (the
 // GEMM amortizes weight traffic and the thread-pool fan-out), so the
@@ -15,14 +15,13 @@
 // ServeRequest (serve_api.h).  A part carries a shared RequestState — one
 // allocation per envelope, not one promise per node — and delivery goes
 // through the caller's CompletionQueue when the envelope's last part
-// resolves.  The PR-1 future API survives as a thin shim: submit(node)
-// wraps a single-node envelope whose sink fulfils a promise.
+// resolves.
 //
 // Overload is handled in one of two modes:
 //
-//  * shed_budget == 0 (default, the PR-1 behavior): the admission queue is
-//    bounded (queue_capacity) and submission blocks when full — callers
-//    feel backpressure instead of the server melting.
+//  * shed_budget == 0 (default): the admission queue is bounded
+//    (queue_capacity) and submission blocks when full — callers feel
+//    backpressure instead of the server melting.
 //
 //  * shed_budget > 0: explicit load shedding.  Queue delay — how long the
 //    oldest queued request has already waited — is the live overload
@@ -61,11 +60,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -77,16 +74,6 @@
 
 namespace ppgnn::serve {
 
-// Resolved into a shed request's future, and thrown by the blocking
-// submit() on refusal.  Retriable by contract: the server is overloaded
-// *now*; the same request succeeds once load drains.  Clients should back
-// off and retry rather than treat this as a data error.
-class RejectedError : public std::runtime_error {
- public:
-  explicit RejectedError(const char* what) : std::runtime_error(what) {}
-  bool retriable() const { return true; }
-};
-
 struct MicroBatchConfig {
   std::size_t max_batch_size = 64;
   // Longest a request may wait for peers before its batch dispatches.
@@ -96,7 +83,7 @@ struct MicroBatchConfig {
   // Queue-delay budget for load shedding; zero disables shedding and keeps
   // the blocking-backpressure behavior.
   std::chrono::microseconds shed_budget{0};
-  // Off = the PR-2 baseline: eviction in FIFO order, no dispatch-time
+  // Off = the FIFO baseline: eviction in FIFO order, no dispatch-time
   // deadline shed (blown deadlines still complete and are *counted* as
   // misses — the bench's comparison arm).
   bool deadline_aware = true;
@@ -129,7 +116,7 @@ struct BatchCounters {
   }
 };
 
-// Why a non-throwing submit was refused.  kOverload is the admission
+// Why try_submit_parts refused a sub-batch.  kOverload is the admission
 // verdict proper (queue-delay budget or capacity — the client should back
 // off); kDeadline means the request's deadline had already passed at
 // submit time.  kDraining is a lifecycle artifact: the replica is being
@@ -144,14 +131,6 @@ enum class RejectReason : std::uint8_t {
   kOverload,
   kDeadline,
   kDraining
-};
-
-// Outcome of a non-throwing legacy submit.  On rejection `result` is an
-// invalid future (valid() == false) — check `accepted` first.
-struct Admission {
-  bool accepted = false;
-  RejectReason reason = RejectReason::kNone;
-  std::future<std::vector<float>> result;
 };
 
 // --- Pure slack policy -----------------------------------------------------
@@ -192,12 +171,11 @@ class MicroBatcher {
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
-  // --- API v2: envelope parts --------------------------------------------
   // Admits parts `slots[0..n)` of `state`'s request as one sub-batch,
   // all-or-nothing.  Returns kNone when admitted.  On every TERMINAL
   // refusal (kOverload -> parts finished kShed; kDeadline -> parts
   // finished kDeadlineExceeded) the batcher resolves the parts itself —
-  // delivery happens through the envelope's queue/sink as usual.  Only
+  // delivery happens through the envelope's queue as usual.  Only
   // kDraining leaves the parts untouched: the caller re-routes them
   // against a fresh membership snapshot.  With shedding disabled this
   // blocks for queue space (backpressure) and only refuses on draining —
@@ -208,16 +186,6 @@ class MicroBatcher {
   // stop().
   RejectReason try_submit_parts(const std::shared_ptr<RequestState>& state,
                                 const std::uint32_t* slots, std::size_t n);
-
-  // --- PR-1 compatibility shims over a single-node envelope --------------
-  // Status-returning admission; the future resolves to the node's logits
-  // row, or throws RejectedError if the part is later shed.
-  Admission try_submit(std::int64_t node, Priority pri = Priority::kHigh);
-  // Throwing form: RejectedError on refusal (shedding enabled only).
-  std::future<std::vector<float>> submit(std::int64_t node,
-                                         Priority pri = Priority::kHigh);
-  // Convenience closed-loop client call.
-  std::vector<float> infer_blocking(std::int64_t node);
 
   // Enters draining: every subsequent submission returns kDraining
   // immediately (blocked backpressure waiters wake and return the same),

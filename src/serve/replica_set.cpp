@@ -192,71 +192,6 @@ std::shared_ptr<const FleetManager::Membership> FleetManager::current() const {
   return m;
 }
 
-Admission FleetManager::try_submit(std::int64_t node, Priority pri) {
-  // The hot path: one atomic snapshot load, route, submit.  No lock is
-  // shared with the scaling path — a resize publishes a fresh snapshot
-  // instead of mutating this one.  A submit that races a retirement may
-  // reach the draining replica's batcher; it answers kDraining (nothing
-  // recorded, nothing lost) and the retry's fresh snapshot no longer
-  // contains the drained replica, so the loop terminates.
-  for (;;) {
-    const auto m = current();
-    const QueueDepthFn depth = [&m](std::size_t i) {
-      return depth_of(*m->replicas[i]);
-    };
-    RouteTargets targets;
-    targets.count = m->replicas.size();
-    targets.queue_depth = &depth;
-    targets.ring = &m->ring;
-    const std::size_t i = router_->route(node, targets);
-    const auto& h = m->replicas[i];
-    h->routed.fetch_add(1, std::memory_order_relaxed);
-    if (h->remote) {
-      // Remote shim: a single-node envelope with a promise sink.  The wire
-      // has no synchronous admission verdict (the reject travels back as a
-      // kShed response), so the call is always "accepted" and a shed
-      // surfaces as RejectedError through the future — same terminal
-      // behavior as the throwing submit(), one hop later.
-      auto prom = std::make_shared<std::promise<std::vector<float>>>();
-      Admission a;
-      a.accepted = true;
-      a.result = prom->get_future();
-      ServeRequest req;
-      req.nodes = {node};
-      req.priority = pri;
-      auto state = std::make_shared<RequestState>(
-          std::move(req), [prom](ServeResponse&& r) {
-            if (r.status == ServeStatus::kOk) {
-              prom->set_value(std::move(r.logits[0]));
-            } else if (r.status == ServeStatus::kError && r.error) {
-              prom->set_exception(r.error);
-            } else {
-              prom->set_exception(std::make_exception_ptr(RejectedError(
-                  "rejected by remote replica admission control")));
-            }
-          });
-      submit_remote(h, state, {0});
-      return a;
-    }
-    Admission a = h->batcher->try_submit(node, pri);
-    if (!a.accepted && a.reason == RejectReason::kDraining) continue;
-    return a;
-  }
-}
-
-std::future<std::vector<float>> FleetManager::submit(std::int64_t node,
-                                                     Priority pri) {
-  Admission a = try_submit(node, pri);
-  if (!a.accepted) {
-    throw RejectedError("rejected at admission: queue-delay budget exceeded");
-  }
-  return std::move(a.result);
-}
-
-std::vector<float> FleetManager::infer_blocking(std::int64_t node) {
-  return submit(node).get();
-}
-
 void FleetManager::submit(ServeRequest req, CompletionQueue& cq) {
   if (req.nodes.empty()) {
     throw std::invalid_argument("FleetManager::submit: empty envelope");
@@ -269,6 +204,10 @@ void FleetManager::submit(ServeRequest req, CompletionQueue& cq) {
     // being routed, so it can never surface as kDraining (nothing to
     // re-route) nor pollute a replica's shed counters.
     const auto snap = cfg_.tenants->snapshot();
+    // An id with no registered contract bills to the default tenant 0
+    // BEFORE any bucket or stats slice is keyed on it: a caller minting
+    // fresh ids must buy neither a fresh full bucket nor a fresh row.
+    if (snap->contracts.count(req.tenant) == 0) req.tenant = 0;
     const tenancy::TenantContract& c = snap->of(req.tenant);
     if (c.priority_ceiling == Priority::kLow) req.priority = Priority::kLow;
     if (!req.has_deadline() && c.default_deadline_us > 0) {
@@ -295,14 +234,15 @@ void FleetManager::submit(ServeRequest req, CompletionQueue& cq) {
 void FleetManager::place_parts(const std::shared_ptr<RequestState>& state,
                                std::vector<std::uint32_t> slots) {
   const auto& nodes = state->request().nodes;
-  // Same loop shape as the legacy try_submit: route against one snapshot,
-  // submit, re-route only the sub-batches a draining replica bounced —
-  // the retry's fresh snapshot no longer contains the drained replica, so
-  // the loop terminates.
+  // Route against one snapshot, submit, re-route only the sub-batches a
+  // draining replica bounced — the retry's fresh snapshot no longer
+  // contains the drained replica, so the loop terminates.  No lock is
+  // shared with the scaling path: a resize publishes a fresh snapshot
+  // instead of mutating this one.
   for (;;) {
     const auto m = std::atomic_load(&membership_);
     if (!m || m->replicas.empty()) {
-      // Stopped fleet: v2 never throws on admission outcomes — the
+      // Stopped fleet: submit never throws on admission outcomes — the
       // envelope answers kDraining so the caller can re-route at a higher
       // level (or give up), and the completion contract holds.
       for (const std::uint32_t slot : slots) {

@@ -1,11 +1,6 @@
-// FleetManager: a lifecycle-managed, autoscaling serving tier.
-//
-// PR 2's ReplicaSet ran N full pipelines behind one submit() — but N was
-// fixed at construction, so the fleet could not absorb the load swings the
-// admission layer measures: at 2x saturation it shed most of the excess
-// instead of adding capacity, and at idle it burned N dispatcher threads.
-// This refactor makes membership dynamic while keeping the hot path as
-// lock-free as the fixed fleet was.
+// FleetManager: a lifecycle-managed, autoscaling serving tier — N
+// replica pipelines behind one submit(), with membership that grows and
+// shrinks under load while the submit path stays lock-free.
 //
 // Structure:
 //
@@ -26,10 +21,10 @@
 //    shared_ptr load, routes against it, and never takes the admin lock:
 //    scaling reconfigures the fleet by *publishing a new snapshot*, not by
 //    mutating the one in flight.  A submitter racing a retirement may
-//    still hit the draining replica's batcher; the batcher bounces it
-//    with RejectReason::kDraining and try_submit transparently re-routes
+//    still hit the draining replica's batcher; the batcher bounces the
+//    parts with RejectReason::kDraining and submit() re-routes them
 //    against the fresh snapshot (so no request is ever lost to a resize —
-//    test_autoscale hammers this with 8 threads).
+//    test_autoscale and test_serve_api hammer this with 8 threads).
 //
 //  * Scale-up — the controller (or a manual scale_up() call) builds a new
 //    handle from the FleetBuilder off the submit path: model weights come
@@ -119,10 +114,11 @@ struct FleetConfig {
   // ServerStats and (unless batch.clock is set explicitly) MicroBatcher,
   // so one knob moves the whole fleet's policy-visible time.
   const Clock* clock = nullptr;
-  // Tenant contract table (src/tenancy/).  When set, the v2 envelope
-  // submit() enforces contracts at the fleet front — priority ceiling
-  // clamp, default deadline stamp, token-bucket quota (refusals answer
-  // kQuotaExceeded without ever reaching a replica) — and every replica's
+  // Tenant contract table (src/tenancy/).  When set, submit() enforces
+  // contracts at the fleet front — unregistered ids fold into the default
+  // tenant 0, then priority ceiling clamp, default deadline stamp,
+  // token-bucket quota (refusals answer kQuotaExceeded without ever
+  // reaching a replica) — and every replica's
   // MicroBatcher composes batches by DWRR weight (propagated via
   // batch.tenants unless the caller set that explicitly).  Null keeps the
   // untenanted behavior.  The registry must outlive the fleet.
@@ -200,7 +196,6 @@ class FleetManager {
   FleetManager(const FleetManager&) = delete;
   FleetManager& operator=(const FleetManager&) = delete;
 
-  // --- Serving API v2 (serve_api.h) --------------------------------------
   // Routes the envelope against the current membership snapshot — under
   // cache_affinity each node is split to its ring home (split_by_ring:
   // ring-consistent sub-batches, so a request spanning shards still hits
@@ -218,18 +213,6 @@ class FleetManager {
   // Blocking convenience over a private queue (tests, simple clients).
   ServeResponse infer_request(ServeRequest req);
 
-  // --- PR-1 future API (thin shims over single-node envelopes) -----------
-  // Semantics follow MicroBatcher: with shedding disabled try_submit
-  // blocks for space and always accepts; with shedding enabled it returns
-  // {accepted = false, reason = kOverload} on overload of the routed
-  // replica.  Draining refusals are retried internally against a fresh
-  // snapshot and never surface.
-  Admission try_submit(std::int64_t node, Priority pri = Priority::kHigh);
-  // Throwing form: RejectedError on refusal (shedding enabled only).
-  std::future<std::vector<float>> submit(std::int64_t node,
-                                         Priority pri = Priority::kHigh);
-  std::vector<float> infer_blocking(std::int64_t node);
-
   // Spawns one replica (Warming -> Active; cache-warmed from peers) and
   // publishes the grown membership.  Returns the new generation id.
   // Throws without a FleetBuilder.  Ignores autoscale bounds — bounds
@@ -241,7 +224,7 @@ class FleetManager {
   std::uint64_t scale_down();
 
   // Stops the controller and every replica's dispatcher after draining
-  // admitted work.  Idempotent; submit() after stop() throws.
+  // admitted work.  Idempotent; submit() after stop() answers kDraining.
   void stop();
 
   std::size_t num_replicas() const;  // Active replicas
@@ -387,7 +370,7 @@ class FleetManager {
   RemoteSpawnFn remote_spawn_;             // set only for remote fleets
   std::unique_ptr<Router> router_;
   // Tenancy front gate (null unless cfg_.tenants): token buckets charged
-  // per v2 envelope, and the front-side recorder for quota refusals —
+  // per envelope, and the front-side recorder for quota refusals —
   // refused envelopes never touch a replica, so their counters can only
   // live here.  Folded into the aggregates under a reserved generation.
   std::unique_ptr<tenancy::TenantAdmission> admission_;
@@ -430,10 +413,5 @@ class FleetManager {
   std::condition_variable controller_cv_;
   bool controller_stop_ = false;
 };
-
-// The elastic fleet kept the old name's file; callers that predate the
-// refactor read better unchanged.
-using ReplicaSet = FleetManager;
-using ReplicaSetConfig = FleetConfig;
 
 }  // namespace ppgnn::serve

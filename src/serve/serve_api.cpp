@@ -114,15 +114,6 @@ RequestState::RequestState(ServeRequest req, CompletionQueue* cq)
   if (req_.mode == ResultMode::kTopK) resp_.topk.resize(req_.nodes.size());
 }
 
-RequestState::RequestState(ServeRequest req, CompletionQueue::Callback sink)
-    : req_(std::move(req)),
-      sink_(std::move(sink)),
-      remaining_(req_.nodes.size()) {
-  resp_.id = req_.id;
-  resp_.logits.resize(req_.nodes.size());
-  if (req_.mode == ResultMode::kTopK) resp_.topk.resize(req_.nodes.size());
-}
-
 void RequestState::finish_part(std::size_t slot, ServeStatus status,
                                const float* row, std::size_t cols,
                                const StageTimings& t,
@@ -149,14 +140,10 @@ void RequestState::finish_part(std::size_t slot, ServeStatus status,
     last = --remaining_ == 0;
   }
   if (!last) return;
-  // Last part delivers.  No lock held: the queue/sink has its own
+  // Last part delivers.  No lock held: the queue has its own
   // synchronization, and nothing can race us — every part is finished.
   if (req_.mode == ResultMode::kTopK) resp_.logits.clear();
-  if (cq_) {
-    cq_->deliver(std::move(resp_));
-  } else if (sink_) {
-    sink_(std::move(resp_));
-  }
+  cq_->deliver(std::move(resp_));
 }
 
 }  // namespace ppgnn::serve

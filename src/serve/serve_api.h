@@ -1,33 +1,21 @@
-// Serving API v2: the ServeRequest / ServeResponse envelope and the
+// The serving API: the ServeRequest / ServeResponse envelope and the
 // completion-queue delivery model.
 //
-// PR 1's public surface was submit(node) -> future<logits>: one node per
-// call, a heap-allocated promise/future pair per request, full logits as
-// the only answer shape, and no way for a caller to say how long the
-// answer is worth waiting for — so the shed policy could only infer
-// urgency from queue delay.  Four PRs of fleet machinery later the
-// envelope fixes all four at once, and doubles as the wire format the
-// ROADMAP's cross-process serving item needs:
-//
-//  * ServeRequest carries a caller-chosen id, MULTIPLE node ids (the
+//  * ServeRequest carries a caller-chosen id, one or more node ids (the
 //    FleetManager splits them into ring-consistent sub-batches per
 //    replica and merges the parts back), a priority class, an absolute
 //    DEADLINE (steady_clock; the admission layer sheds work that can no
 //    longer make it instead of computing answers nobody will read), and
-//    a result mode — full logits or top-k (class, score) pairs, which is
-//    what most callers actually want and is ~classes/k less data to move.
+//    a result mode — full logits or top-k (class, score) pairs.
 //
 //  * ServeResponse carries a per-request status (Ok / Shed /
-//    DeadlineExceeded / Draining / Error), the results, and per-stage
-//    timings (admission wait, dispatch delay, compute) so a slow answer
-//    is attributable to a stage, not just "the server".
+//    DeadlineExceeded / Draining / Error / QuotaExceeded), the results,
+//    and per-stage timings (admission wait, dispatch delay, compute) so a
+//    slow answer is attributable to a stage, not just "the server".
 //
 //  * Delivery goes through a caller-owned CompletionQueue — poll/wait or
-//    a callback — instead of one promise/future pair per node.  The
-//    batcher's hot path holds one shared RequestState per ENVELOPE (an
-//    n-node request costs one allocation, not n promise shared-states),
-//    and the legacy submit(node) survives as a thin shim over a
-//    single-node envelope.
+//    a callback.  The batcher's hot path holds one shared RequestState
+//    per ENVELOPE: an n-node request costs one allocation.
 //
 // CompletionQueue lifetime rule: the queue must outlive every request
 // submitted against it — responses are delivered from replica dispatcher
@@ -104,7 +92,7 @@ struct ServeRequest {
   Priority priority = Priority::kHigh;
   // Which tenant this request is billed to (src/tenancy/).  0 — the
   // default tenant — keeps untenanted callers on the pre-tenancy behavior.
-  // Travels on the wire from protocol v2 and through traces/fleetsim.
+  // Travels on the wire and through traces/fleetsim.
   std::uint32_t tenant = 0;
   // Absolute deadline; max() (the default) means none.  Use deadline_in()
   // for the common "now + budget" form.
@@ -145,8 +133,8 @@ struct ServeResponse {
   std::vector<std::vector<float>> logits;
   std::vector<std::vector<TopKEntry>> topk;
   StageTimings timings;
-  // kError only: the backend exception, preserved so legacy shims (and
-  // callers that want the real type) can rethrow it.
+  // kError only: the backend exception, preserved so callers can rethrow
+  // it with its real type.
   std::exception_ptr error;
 };
 
@@ -191,16 +179,14 @@ class CompletionQueue {
 };
 
 // Shared merge/delivery state of one in-flight envelope: the single
-// allocation the v2 hot path makes per request.  Each queued part holds a
+// allocation the hot path makes per request.  Each queued part holds a
 // shared_ptr to it; finish_part() folds the part's result/status/timings
 // in, and the LAST part to finish delivers the merged response — so parts
 // may complete on different replica dispatchers in any order.
 class RequestState {
  public:
-  // Delivery to a caller-owned queue (the queue must outlive delivery)...
+  // Delivers to a caller-owned queue, which must outlive delivery.
   RequestState(ServeRequest req, CompletionQueue* cq);
-  // ...or straight to a sink (the legacy future shim's path).
-  RequestState(ServeRequest req, CompletionQueue::Callback sink);
 
   const ServeRequest& request() const { return req_; }
   Priority priority() const { return req_.priority; }
@@ -220,7 +206,6 @@ class RequestState {
  private:
   ServeRequest req_;
   CompletionQueue* cq_ = nullptr;
-  CompletionQueue::Callback sink_;
   std::mutex mu_;
   ServeResponse resp_;
   std::size_t remaining_;

@@ -1,6 +1,6 @@
 // Per-tenant token-bucket admission over the injected clock contract.
 //
-// TenantAdmission is the fleet-front quota gate: every v2-envelope submit
+// TenantAdmission is the fleet-front quota gate: every envelope submit
 // asks it whether the tenant's contract has tokens for the request's part
 // count.  A refusal becomes ServeStatus::kQuotaExceeded — deliberately a
 // different answer than kShed/kOverload, because the fixes differ: shed

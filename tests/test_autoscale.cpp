@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -28,9 +27,12 @@
 #include "serve/router.h"
 #include "serve/server_stats.h"
 #include "serve/workload.h"
+#include "serve_client.h"
 
 namespace ppgnn::serve {
 namespace {
+
+using test::infer_node;
 
 std::string tmp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
@@ -225,18 +227,23 @@ TEST(FleetManager, DrainCompletesAdmittedHighWorkBitIdentical) {
   ASSERT_EQ(fleet.num_replicas(), 2u);
 
   // Fill both replicas' queues with kHigh work, then retire one while the
-  // work is in flight.  Every admitted future must resolve — with logits
-  // bit-identical to the fixed-fleet answer.
-  std::vector<std::pair<std::int64_t, std::future<std::vector<float>>>>
-      inflight;
+  // work is in flight.  Every admitted envelope must be answered kOk —
+  // with logits bit-identical to the fixed-fleet answer.
+  CompletionQueue cq;
   for (std::int64_t node = 0; node < 60; ++node) {
-    inflight.emplace_back(node, fleet.submit(node, Priority::kHigh));
+    ServeRequest req;
+    req.id = static_cast<std::uint64_t>(node);
+    req.nodes = {node};
+    fleet.submit(std::move(req), cq);
   }
   const std::uint64_t retired = fleet.scale_down();
   EXPECT_EQ(fleet.num_replicas(), 1u);
-  for (auto& [node, fut] : inflight) {
-    std::vector<float> got;
-    ASSERT_NO_THROW(got = fut.get()) << "node " << node;
+  for (int i = 0; i < 60; ++i) {
+    ServeResponse r;
+    ASSERT_TRUE(cq.wait_for(&r, std::chrono::seconds(30))) << "lost " << i;
+    const auto node = static_cast<std::int64_t>(r.id);
+    ASSERT_EQ(r.status, ServeStatus::kOk) << "node " << node;
+    const auto& got = r.logits[0];
     const auto want = reference.infer_one(node);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t j = 0; j < want.size(); ++j) {
@@ -245,7 +252,7 @@ TEST(FleetManager, DrainCompletesAdmittedHighWorkBitIdentical) {
   }
   // The fleet keeps serving after the resize, still bit-identical.
   for (std::int64_t node = 60; node < 70; ++node) {
-    const auto got = fleet.infer_blocking(node);
+    const auto got = infer_node(fleet, node);
     const auto want = reference.infer_one(node);
     for (std::size_t j = 0; j < want.size(); ++j) {
       EXPECT_EQ(got[j], want[j]) << "node " << node;
@@ -285,7 +292,7 @@ TEST(FleetManager, ScaleUpAtInt8SharesBlocksAndStaysDeterministic) {
   // int8 session (the spawned replica shares the same immutable quantized
   // block, not a re-quantization that could drift).
   for (std::int64_t node = 0; node < 40; ++node) {
-    const auto got = fleet.infer_blocking(node);
+    const auto got = infer_node(fleet, node);
     const auto want = single[0]->infer_one(node);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t j = 0; j < want.size(); ++j) {
@@ -397,7 +404,7 @@ TEST(FleetManager, SpawnWarmsFromPeersUnderCacheAffinity) {
   wc.num_requests = 1200;
   wc.skew = 0.99;
   wc.seed = 9;
-  for (const auto node : zipf_stream(wc)) fleet.infer_blocking(node);
+  for (const auto node : zipf_stream(wc)) infer_node(fleet, node);
   fleet.scale_up();
   ASSERT_EQ(fleet.num_replicas(), 3u);
   const auto events = fleet.events();
@@ -409,7 +416,7 @@ TEST(FleetManager, SpawnWarmsFromPeersUnderCacheAffinity) {
   EXPECT_GT(spawn.warmed_keys, 0u);
   // And routing still answers through the grown fleet.
   for (std::int64_t node = 0; node < 10; ++node) {
-    EXPECT_EQ(fleet.infer_blocking(node).size(),
+    EXPECT_EQ(infer_node(fleet, node).size(),
               static_cast<std::size_t>(fx.ds.num_classes));
   }
 }
@@ -431,10 +438,16 @@ TEST(MicroBatcherDrain, DrainOutranksStopForStragglers) {
     MicroBatcher batcher(session, cfg);
     batcher.begin_drain();
     batcher.stop();
-    const Admission a = batcher.try_submit(0, Priority::kHigh);
-    EXPECT_FALSE(a.accepted);
-    EXPECT_EQ(a.reason, RejectReason::kDraining);
-    EXPECT_FALSE(a.result.valid());
+    CompletionQueue cq;
+    ServeRequest req;
+    req.nodes = {0};
+    auto state = std::make_shared<RequestState>(std::move(req), &cq);
+    const std::uint32_t slot = 0;
+    EXPECT_EQ(batcher.try_submit_parts(state, &slot, 1),
+              RejectReason::kDraining);
+    // The bounce leaves the part to the caller's re-route: nothing was
+    // answered on the batcher's side.
+    EXPECT_EQ(cq.delivered(), 0u);
   }
 }
 
@@ -461,7 +474,7 @@ TEST(FleetManager, EightThreadHammerLosesNoSubmitAcrossResizes) {
         // replica, but the re-route must land it.
         const auto node =
             static_cast<std::int64_t>((t * kPerThread + i) % 100);
-        const auto logits = fleet.infer_blocking(node);
+        const auto logits = infer_node(fleet, node);
         if (!logits.empty()) answered.fetch_add(1);
       }
     });

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <future>
 #include <memory>
 #include <thread>
 
@@ -22,9 +21,13 @@
 #include "serve/replica_set.h"
 #include "serve/router.h"
 #include "serve/server_stats.h"
+#include "serve_client.h"
 
 namespace ppgnn::serve {
 namespace {
+
+using test::BatcherClient;
+using test::infer_node;
 
 std::string tmp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
@@ -178,33 +181,25 @@ TEST(Shedding, QueuedLowSheddedPastDelayBudgetWithRetriableStatus) {
   cfg.shed_budget = std::chrono::microseconds(5000);  // 5ms
   ServerStats stats;
   MicroBatcher batcher(*session, cfg, &stats);
+  BatcherClient client(batcher);  // envelope id = node below
 
   // A dispatches alone (1ms window elapses before B/C arrive) and holds
   // the replica in service for 60ms.
-  auto a = batcher.try_submit(0, Priority::kLow);
-  ASSERT_TRUE(a.accepted);
+  ASSERT_EQ(client.submit(0, 0, Priority::kLow), RejectReason::kNone);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  auto b = batcher.try_submit(1, Priority::kLow);
-  auto c = batcher.try_submit(2, Priority::kLow);
-  ASSERT_TRUE(b.accepted);
-  ASSERT_TRUE(c.accepted);
+  ASSERT_EQ(client.submit(1, 1, Priority::kLow), RejectReason::kNone);
+  ASSERT_EQ(client.submit(2, 2, Priority::kLow), RejectReason::kNone);
   // Let B age far past the 5ms budget while A is still in service.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   // D's arrival finds the queue head over budget: drop-head sheds B and C,
   // which empties the low queue, so D itself is admitted.
-  auto d = batcher.try_submit(3, Priority::kLow);
-  EXPECT_TRUE(d.accepted);
+  EXPECT_EQ(client.submit(3, 3, Priority::kLow), RejectReason::kNone);
 
-  EXPECT_NO_THROW(a.result.get());
-  // Shed requests fail with the retriable rejection, not a data error.
-  try {
-    b.result.get();
-    FAIL() << "B should have been shed";
-  } catch (const RejectedError& e) {
-    EXPECT_TRUE(e.retriable());
-  }
-  EXPECT_THROW(c.result.get(), RejectedError);
-  EXPECT_NO_THROW(d.result.get());
+  EXPECT_EQ(client.await(0).status, ServeStatus::kOk);
+  // Shed requests answer kShed — the retriable status — not a data error.
+  EXPECT_EQ(client.await(1).status, ServeStatus::kShed);
+  EXPECT_EQ(client.await(2).status, ServeStatus::kShed);
+  EXPECT_EQ(client.await(3).status, ServeStatus::kOk);
 
   const auto counters = batcher.counters();
   EXPECT_EQ(counters.admission.admitted, 4u);
@@ -225,29 +220,26 @@ TEST(Shedding, ArrivalsRejectedWhenHeadOfLineExceedsBudget) {
   cfg.max_delay = std::chrono::microseconds(100);
   cfg.shed_budget = std::chrono::microseconds(5000);
   MicroBatcher batcher(*session, cfg);
+  BatcherClient client(batcher);
 
-  auto a = batcher.try_submit(0, Priority::kHigh);  // dispatched alone
-  ASSERT_TRUE(a.accepted);
+  // A is dispatched alone; B queues behind it.
+  ASSERT_EQ(client.submit(0, 0, Priority::kHigh), RejectReason::kNone);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  auto b = batcher.try_submit(1, Priority::kHigh);  // queued behind A
-  ASSERT_TRUE(b.accepted);
+  ASSERT_EQ(client.submit(1, 1, Priority::kHigh), RejectReason::kNone);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   // B has waited 20ms > budget and there is no kLow to shed: the batcher
   // refuses new work of either class rather than queueing behind a
-  // deadline it cannot meet.
-  auto c = batcher.try_submit(2, Priority::kHigh);
-  EXPECT_FALSE(c.accepted);
-  EXPECT_FALSE(c.result.valid());
-  EXPECT_THROW(batcher.submit(3, Priority::kLow), RejectedError);
-  // The throwing form reports retriable too.
-  try {
-    batcher.submit(4, Priority::kHigh);
-    FAIL() << "submit should throw under overload";
-  } catch (const RejectedError& e) {
-    EXPECT_TRUE(e.retriable());
+  // deadline it cannot meet — answered at once, with the retriable kShed.
+  for (const auto& [id, pri] : {std::pair{2, Priority::kHigh},
+                                std::pair{3, Priority::kLow},
+                                std::pair{4, Priority::kHigh}}) {
+    EXPECT_EQ(client.submit(id, id, pri), RejectReason::kOverload)
+        << "envelope " << id;
+    EXPECT_EQ(client.await(id).status, ServeStatus::kShed)
+        << "envelope " << id;
   }
-  EXPECT_NO_THROW(a.result.get());
-  EXPECT_NO_THROW(b.result.get());
+  EXPECT_EQ(client.await(0).status, ServeStatus::kOk);
+  EXPECT_EQ(client.await(1).status, ServeStatus::kOk);
   EXPECT_EQ(batcher.counters().admission.rejected, 3u);
 }
 
@@ -259,24 +251,24 @@ TEST(Shedding, HighPrioritySurvivesWhereQueuedLowIsShed) {
   cfg.max_delay = std::chrono::microseconds(100);
   cfg.shed_budget = std::chrono::microseconds(5000);
   MicroBatcher batcher(*session, cfg);
+  BatcherClient client(batcher);
 
-  auto a = batcher.try_submit(0, Priority::kLow);  // in service
-  ASSERT_TRUE(a.accepted);
+  // A is in service; then two kLow (1, 2) and one kHigh (3) queue.
+  ASSERT_EQ(client.submit(0, 0, Priority::kLow), RejectReason::kNone);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  auto low1 = batcher.try_submit(1, Priority::kLow);
-  auto low2 = batcher.try_submit(2, Priority::kLow);
-  auto high = batcher.try_submit(3, Priority::kHigh);
-  ASSERT_TRUE(low1.accepted && low2.accepted && high.accepted);
+  ASSERT_EQ(client.submit(1, 1, Priority::kLow), RejectReason::kNone);
+  ASSERT_EQ(client.submit(2, 2, Priority::kLow), RejectReason::kNone);
+  ASSERT_EQ(client.submit(3, 3, Priority::kHigh), RejectReason::kNone);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   // Everything queued is over budget.  The shed pass drops only the kLow
   // entries; the queued kHigh request keeps its slot and is answered.
-  auto trigger = batcher.try_submit(4, Priority::kLow);
-  EXPECT_FALSE(trigger.accepted);  // head-of-line is now kHigh, still over
-                                   // budget -> the kLow arrival is refused
-  EXPECT_THROW(low1.result.get(), RejectedError);
-  EXPECT_THROW(low2.result.get(), RejectedError);
-  EXPECT_NO_THROW(high.result.get());
-  EXPECT_NO_THROW(a.result.get());
+  // Head-of-line is now kHigh, still over budget -> the kLow arrival is
+  // refused.
+  EXPECT_EQ(client.submit(4, 4, Priority::kLow), RejectReason::kOverload);
+  EXPECT_EQ(client.await(1).status, ServeStatus::kShed);
+  EXPECT_EQ(client.await(2).status, ServeStatus::kShed);
+  EXPECT_EQ(client.await(3).status, ServeStatus::kOk);
+  EXPECT_EQ(client.await(0).status, ServeStatus::kOk);
   const auto counters = batcher.counters();
   EXPECT_EQ(counters.admission.shed, 2u);
   EXPECT_EQ(counters.admission.rejected, 1u);
@@ -292,32 +284,30 @@ TEST(Shedding, FullQueueEvictsLowToAdmitHighAndDispatchesHighFirst) {
   cfg.shed_budget = std::chrono::seconds(10);  // shedding on, budget never
                                                // binds — isolates capacity
   MicroBatcher batcher(*session, cfg);
+  BatcherClient client(batcher);
 
-  auto a = batcher.try_submit(0, Priority::kLow);  // in service
-  ASSERT_TRUE(a.accepted);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  auto low1 = batcher.try_submit(1, Priority::kLow);
-  auto low2 = batcher.try_submit(2, Priority::kLow);
-  ASSERT_TRUE(low1.accepted && low2.accepted);  // queue now full
+  ASSERT_EQ(client.submit(0, 0, Priority::kLow), RejectReason::kNone);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // A in service
+  ASSERT_EQ(client.submit(1, 1, Priority::kLow), RejectReason::kNone);
+  ASSERT_EQ(client.submit(2, 2, Priority::kLow),
+            RejectReason::kNone);  // queue now full
   // A kLow arrival bounces off the full queue...
-  auto low3 = batcher.try_submit(3, Priority::kLow);
-  EXPECT_FALSE(low3.accepted);
+  EXPECT_EQ(client.submit(3, 3, Priority::kLow), RejectReason::kOverload);
   // ...but a kHigh arrival evicts the oldest queued kLow instead.
-  auto high = batcher.try_submit(4, Priority::kHigh);
-  EXPECT_TRUE(high.accepted);
-  EXPECT_THROW(low1.result.get(), RejectedError);
-  EXPECT_NO_THROW(high.result.get());
-  EXPECT_NO_THROW(low2.result.get());
-  EXPECT_NO_THROW(a.result.get());
+  EXPECT_EQ(client.submit(4, 4, Priority::kHigh), RejectReason::kNone);
+  EXPECT_EQ(client.await(1).status, ServeStatus::kShed);
+  EXPECT_EQ(client.await(4).status, ServeStatus::kOk);
+  EXPECT_EQ(client.await(2).status, ServeStatus::kOk);
+  EXPECT_EQ(client.await(0).status, ServeStatus::kOk);
   const auto counters = batcher.counters();
   EXPECT_EQ(counters.admission.shed, 1u);
   EXPECT_EQ(counters.admission.rejected, 1u);
   EXPECT_EQ(counters.admission.admitted, 4u);
 }
 
-// --- ReplicaSet -----------------------------------------------------------
+// --- Fixed fleets ---------------------------------------------------------
 
-TEST(ReplicaSet, NReplicaResultsBitIdenticalToSingleSession) {
+TEST(FixedFleet, NReplicaResultsBitIdenticalToSingleSession) {
   const Fixture fx;
   const std::string ckpt = tmp_path("replica_deploy.ckpt");
   {
@@ -333,12 +323,12 @@ TEST(ReplicaSet, NReplicaResultsBitIdenticalToSingleSession) {
   for (const auto policy : {RoutingPolicy::kRoundRobin,
                             RoutingPolicy::kLeastLoaded,
                             RoutingPolicy::kCacheAffinity}) {
-    ReplicaSetConfig rc;
+    FleetConfig rc;
     rc.policy = policy;
     rc.batch.max_delay = std::chrono::microseconds(100);
-    ReplicaSet set(fx.builder(ckpt).build_n(3), rc);
+    FleetManager set(fx.builder(ckpt).build_n(3), rc);
     for (std::int64_t node = 0; node < 40; ++node) {
-      const auto got = set.infer_blocking(node);
+      const auto got = infer_node(set, node);
       const auto want = reference.infer_one(node);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t j = 0; j < want.size(); ++j) {
@@ -356,7 +346,7 @@ TEST(ReplicaSet, NReplicaResultsBitIdenticalToSingleSession) {
 // shares one immutable quantized weight block, so replica answers match
 // each other bit for bit, and the whole fleet matches a single int8
 // session bit for bit.  fp32 fleets keep the exact test above.
-TEST(ReplicaSet, Int8FleetDeterministicAndWithinQuantizationBoundOfFp32) {
+TEST(FixedFleet, Int8FleetDeterministicAndWithinQuantizationBoundOfFp32) {
   const Fixture fx;
   const std::string ckpt = tmp_path("replica_int8.ckpt");
   {
@@ -372,16 +362,16 @@ TEST(ReplicaSet, Int8FleetDeterministicAndWithinQuantizationBoundOfFp32) {
   auto single_sessions = fx.builder(ckpt, Precision::kInt8).build_n(1);
   InferenceSession& single = *single_sessions[0];
 
-  ReplicaSetConfig rc;
+  FleetConfig rc;
   rc.precision = Precision::kInt8;
   rc.batch.max_delay = std::chrono::microseconds(100);
-  ReplicaSet set(fx.builder(ckpt, Precision::kInt8).build_n(3), rc);
+  FleetManager set(fx.builder(ckpt, Precision::kInt8).build_n(3), rc);
   EXPECT_EQ(set.precision(), Precision::kInt8);
 
   std::size_t agree = 0;
   const std::int64_t n_nodes = 60;
   for (std::int64_t node = 0; node < n_nodes; ++node) {
-    const auto got = set.infer_blocking(node);
+    const auto got = infer_node(set, node);
     const auto int8_want = single.infer_one(node);
     const auto fp32_want = reference.infer_one(node);
     ASSERT_EQ(got.size(), fp32_want.size());
@@ -402,30 +392,30 @@ TEST(ReplicaSet, Int8FleetDeterministicAndWithinQuantizationBoundOfFp32) {
   EXPECT_GE(agree * 10, static_cast<std::size_t>(n_nodes) * 9);
 }
 
-TEST(ReplicaSet, RejectsPrecisionMismatchBetweenSessionsAndConfig) {
+TEST(FixedFleet, RejectsPrecisionMismatchBetweenSessionsAndConfig) {
   const Fixture fx;
   const std::string ckpt = tmp_path("replica_mismatch.ckpt");
   {
     auto trained = fx.make_model(5);
     save_deployed_model(*trained, ckpt);
   }
-  ReplicaSetConfig rc;
+  FleetConfig rc;
   rc.precision = Precision::kInt8;  // but the sessions below are fp32
   auto sessions = fx.builder(ckpt).build_n(2);
-  EXPECT_THROW(ReplicaSet(std::move(sessions), rc), std::invalid_argument);
+  EXPECT_THROW(FleetManager(std::move(sessions), rc), std::invalid_argument);
 }
 
-TEST(ReplicaSet, RoundRobinSpreadsAndAggregatesAdmission) {
+TEST(FixedFleet, RoundRobinSpreadsAndAggregatesAdmission) {
   const Fixture fx;
   const std::string ckpt = tmp_path("replica_rr.ckpt");
   {
     auto trained = fx.make_model(5);
     save_deployed_model(*trained, ckpt);
   }
-  ReplicaSetConfig rc;
+  FleetConfig rc;
   rc.batch.max_delay = std::chrono::microseconds(100);
-  ReplicaSet set(fx.builder(ckpt).build_n(2), rc);
-  for (std::int64_t node = 0; node < 10; ++node) set.infer_blocking(node);
+  FleetManager set(fx.builder(ckpt).build_n(2), rc);
+  for (std::int64_t node = 0; node < 10; ++node) infer_node(set, node);
   EXPECT_EQ(set.replica_snapshot(0).routed, 5u);
   EXPECT_EQ(set.replica_snapshot(1).routed, 5u);
   const auto adm = set.aggregate_admission();
@@ -435,19 +425,19 @@ TEST(ReplicaSet, RoundRobinSpreadsAndAggregatesAdmission) {
   EXPECT_GT(set.aggregate_batches(), 0u);
 }
 
-TEST(ReplicaSet, CacheAffinityPinsANodeToOneReplica) {
+TEST(FixedFleet, CacheAffinityPinsANodeToOneReplica) {
   const Fixture fx;
   const std::string ckpt = tmp_path("replica_aff.ckpt");
   {
     auto trained = fx.make_model(5);
     save_deployed_model(*trained, ckpt);
   }
-  ReplicaSetConfig rc;
+  FleetConfig rc;
   rc.policy = RoutingPolicy::kCacheAffinity;
   rc.batch.max_delay = std::chrono::microseconds(100);
-  ReplicaSet set(fx.builder(ckpt).build_n(3), rc);
+  FleetManager set(fx.builder(ckpt).build_n(3), rc);
   constexpr std::int64_t kNode = 42;
-  for (int i = 0; i < 5; ++i) set.infer_blocking(kNode);
+  for (int i = 0; i < 5; ++i) infer_node(set, kNode);
   const std::size_t home = set.home_replica(kNode);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(set.replica_snapshot(i).routed, i == home ? 5u : 0u);

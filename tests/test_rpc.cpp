@@ -11,12 +11,15 @@
 // logits against a reference in-process session, and process exit codes.
 // Sanitizer slowdown stretches wall time but cannot flip any of those.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "rpc/client.h"
+#include "rpc/frame.h"
 #include "rpc/process.h"
 #include "rpc/remote_replica.h"
 #include "rpc/server.h"
@@ -91,13 +95,13 @@ class LoopbackServer {
     cfg.address = address;
     cfg.batch.max_delay = std::chrono::microseconds(100);
     server_ = std::make_unique<ReplicaServer>(std::move(session), cfg);
-    thread_ = std::thread([this] { rc_ = server_->run(&stop_); });
+    thread_ = std::thread([this] { rc_ = server_->run(stop_); });
   }
   ~LoopbackServer() { stop(); }
 
   int stop() {
     if (thread_.joinable()) {
-      stop_ = 1;
+      stop_ = true;
       thread_.join();
     }
     return rc_;
@@ -107,7 +111,7 @@ class LoopbackServer {
 
  private:
   std::string address_;
-  volatile std::sig_atomic_t stop_ = 0;
+  std::atomic<bool> stop_{false};
   int rc_ = -1;
   std::unique_ptr<ReplicaServer> server_;
   std::thread thread_;
@@ -173,61 +177,178 @@ TEST(RpcLoopback, EchoesEnvelopesThroughRealBatcher) {
   EXPECT_EQ(server.stop(), 0);  // clean drain
 }
 
-TEST(RpcLoopback, VersionNegotiationCarriesTenantOnV2AndDropsItOnV1) {
-  // The negotiation matrix of docs/wire-protocol.md, end to end over a
-  // real socket: a v2 client's tenant id survives to the server's
-  // per-tenant stats; a client pinned to a v1 offer negotiates down,
-  // frames v1 bodies, and its requests land on the default tenant — the
-  // old-peer compatibility the version bytes exist for.
-  LoopbackServer server(std::string("unix:") + testbed().dir() +
-                        "/negotiate.sock");
+// A raw-socket peer for the version tests: what a client from another
+// build would put on the wire, byte for byte, with no RpcClient in the way.
+class RawPeer {
+ public:
+  // Retries the connect like RpcClient::handshake does: the loopback
+  // server may not be listening yet.
+  explicit RawPeer(const std::string& address) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::string err;
+    while ((fd_ = connect_to(address, std::chrono::milliseconds(2000),
+                             &err)) < 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    }
+    EXPECT_GE(fd_, 0) << err;
+  }
+  ~RawPeer() {
+    if (fd_ >= 0) ::close(fd_);
+  }
 
-  RpcClientConfig v2cfg;
-  v2cfg.address = server.address();
-  RpcClient v2(v2cfg);
+  void send(const std::vector<std::uint8_t>& bytes) {
+    ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  // Reads until the server closes the connection (true) or `timeout`
+  // passes (false); everything received lands in *got.
+  bool read_until_closed(std::vector<std::uint8_t>* got,
+                         std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    std::uint8_t buf[4096];
+    for (;;) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return false;
+      pollfd pf{fd_, POLLIN, 0};
+      if (::poll(&pf, 1, static_cast<int>(left.count())) <= 0) continue;
+      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
+      if (r <= 0) return true;
+      got->insert(got->end(), buf, buf + r);
+    }
+  }
+  // Reads one whole frame (blocking, bounded by `timeout`).
+  bool read_frame(MsgType* type, std::vector<std::uint8_t>* body,
+                  std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    std::uint8_t buf[4096];
+    while (!reader_.next(type, body)) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (reader_.failed() || left.count() <= 0) return false;
+      pollfd pf{fd_, POLLIN, 0};
+      if (::poll(&pf, 1, static_cast<int>(left.count())) <= 0) continue;
+      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
+      if (r <= 0) return false;
+      reader_.feed(buf, static_cast<std::size_t>(r));
+    }
+    return true;
+  }
+
+ private:
+  int fd_ = -1;
+  FrameReader reader_;
+};
+
+// Billed parts per tenant in the server's ledger.
+std::map<std::uint32_t, std::size_t> admitted_by_tenant(
+    const ReplicaServer& server) {
+  std::map<std::uint32_t, std::size_t> out;
+  for (const auto& row : server.stats().tenant_stats()) {
+    if (row.admitted > 0) out[row.tenant] = row.admitted;
+  }
+  return out;
+}
+
+TEST(RpcLoopback, HelloAtAnotherVersionFailsTheHandshake) {
+  // One wire version: a Hello offering an older or newer one is refused
+  // — the decoder's error names the offered version, and the server
+  // closes the connection without a HelloAck — while a peer of this build
+  // handshakes and is served as usual.
+  LoopbackServer server(std::string("unix:") + testbed().dir() +
+                        "/strict-hello.sock");
+  for (const std::uint32_t offer : {1u, 3u}) {
+    WireHello hello;
+    hello.protocol = offer;
+    const auto body = encode_hello(hello);
+    WireHello decoded;
+    std::string err;
+    EXPECT_FALSE(decode_hello(body.data(), body.size(), &decoded, &err));
+    EXPECT_NE(err.find("protocol " + std::to_string(offer)),
+              std::string::npos)
+        << err;
+
+    RawPeer peer(server.address());
+    std::vector<std::uint8_t> frame;
+    encode_hello_into(hello, frame);
+    peer.send(frame);
+    std::vector<std::uint8_t> got;
+    EXPECT_TRUE(peer.read_until_closed(&got, std::chrono::seconds(10)))
+        << "offer " << offer << ": connection left open";
+    EXPECT_TRUE(got.empty()) << "offer " << offer << " was acked";
+  }
+
+  RpcClientConfig ccfg;
+  ccfg.address = server.address();
+  RpcClient client(ccfg);
   WireHelloAck ack;
   std::string err;
-  ASSERT_TRUE(v2.handshake(&ack, &err)) << err;
+  ASSERT_TRUE(client.handshake(&ack, &err)) << err;
   EXPECT_EQ(ack.protocol, static_cast<std::uint32_t>(kWireVersion));
-  EXPECT_EQ(v2.protocol(), kWireVersion);
+  WireRequest req;
+  req.nodes = {3};
+  const auto res = call_sync(client, req);
+  ASSERT_TRUE(res.transport_ok) << res.transport_error;
+  EXPECT_EQ(res.response.status, ServeStatus::kOk);
+  client.shutdown();
+  EXPECT_EQ(server.stop(), 0);
+}
 
+TEST(RpcLoopback, FrameAtAnotherVersionClosesOnlyThatConnection) {
+  // After a good handshake, a Request framed at version 1 (with the body
+  // an old build would send: no tenant field) is a protocol violation:
+  // the server closes that connection without answering, and keeps
+  // serving every other one — including the tenant id its requests carry.
+  LoopbackServer server(std::string("unix:") + testbed().dir() +
+                        "/strict-frame.sock");
+
+  RpcClientConfig ccfg;
+  ccfg.address = server.address();
+  RpcClient good(ccfg);
+  WireHelloAck ack;
+  std::string err;
+  ASSERT_TRUE(good.handshake(&ack, &err)) << err;
   WireRequest tagged;
   tagged.nodes = {11};
   tagged.tenant = 9;
-  auto res = call_sync(v2, tagged);
+  auto res = call_sync(good, tagged);
   ASSERT_TRUE(res.transport_ok) << res.transport_error;
   EXPECT_EQ(res.response.status, ServeStatus::kOk);
 
-  RpcClientConfig v1cfg;
-  v1cfg.address = server.address();
-  v1cfg.protocol = 1;  // a v1 peer: offers 1, expects ack 1
-  RpcClient v1(v1cfg);
-  ASSERT_TRUE(v1.handshake(&ack, &err)) << err;
-  EXPECT_EQ(ack.protocol, 1u);
-  EXPECT_EQ(v1.protocol(), 1);
+  RawPeer old_build(server.address());
+  std::vector<std::uint8_t> frame;
+  encode_hello_into(WireHello{}, frame);
+  old_build.send(frame);
+  MsgType type;
+  std::vector<std::uint8_t> body;
+  ASSERT_TRUE(old_build.read_frame(&type, &body, std::chrono::seconds(10)));
+  ASSERT_EQ(type, MsgType::kHelloAck);
 
   WireRequest legacy;
   legacy.nodes = {12};
-  legacy.tenant = 9;  // set but UNSENDABLE at v1 — must arrive as 0
-  res = call_sync(v1, legacy);
+  auto legacy_body = encode_request(legacy);
+  legacy_body.erase(legacy_body.begin() + 20, legacy_body.begin() + 24);
+  frame.clear();
+  append_frame(frame, MsgType::kRequest, legacy_body.data(),
+               legacy_body.size());
+  frame[5] = 1;  // frame header version byte
+  old_build.send(frame);
+  std::vector<std::uint8_t> got;
+  EXPECT_TRUE(old_build.read_until_closed(&got, std::chrono::seconds(10)))
+      << "violating connection left open";
+  EXPECT_TRUE(got.empty()) << "a version-1 frame was answered";
+
+  res = call_sync(good, tagged);
   ASSERT_TRUE(res.transport_ok) << res.transport_error;
   EXPECT_EQ(res.response.status, ServeStatus::kOk);
-
-  v2.shutdown();
-  v1.shutdown();
+  good.shutdown();
   EXPECT_EQ(server.stop(), 0);
 
-  // Server-side ledger: exactly one part billed to tenant 9 (the v2
-  // call) and one to the default tenant (the v1 call's dropped id).
-  std::size_t t0 = 0, t9 = 0, other = 0;
-  for (const auto& row : server.server().stats().tenant_stats()) {
-    if (row.tenant == 0) t0 = row.admitted;
-    else if (row.tenant == 9) t9 = row.admitted;
-    else other += row.admitted;
-  }
-  EXPECT_EQ(t9, 1u);
-  EXPECT_EQ(t0, 1u);
-  EXPECT_EQ(other, 0u);
+  // Both good calls billed to tenant 9; the refused frame billed nobody.
+  const auto billed = admitted_by_tenant(server.server());
+  EXPECT_EQ(billed, (std::map<std::uint32_t, std::size_t>{{9, 2}}));
 }
 
 TEST(RpcClientTest, FailsFastWhenServerNeverExisted) {

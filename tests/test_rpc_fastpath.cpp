@@ -140,9 +140,7 @@ TEST(WireFuzz, HandshakeFramesAreByteIdentical) {
   Bytes ref_h;
   {
     const Bytes body = encode_hello(h);
-    // Handshake frames pin frame version 1 (pre-negotiation).
-    append_frame(ref_h, MsgType::kHello, body.data(), body.size(),
-                 /*version=*/1);
+    append_frame(ref_h, MsgType::kHello, body.data(), body.size());
   }
   Bytes into_h;
   encode_hello_into(h, into_h);
@@ -155,8 +153,7 @@ TEST(WireFuzz, HandshakeFramesAreByteIdentical) {
   Bytes ref_a;
   {
     const Bytes body = encode_hello_ack(a);
-    append_frame(ref_a, MsgType::kHelloAck, body.data(), body.size(),
-                 /*version=*/1);
+    append_frame(ref_a, MsgType::kHelloAck, body.data(), body.size());
   }
   Bytes into_a;
   encode_hello_ack_into(a, into_a);

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
+#include <exception>
 #include <thread>
 
 #include "core/precompute.h"
@@ -16,9 +16,12 @@
 #include "serve/server_stats.h"
 #include "serve/workload.h"
 #include "tensor/ops.h"
+#include "serve_client.h"
 
 namespace ppgnn::serve {
 namespace {
+
+using test::BatcherClient;
 
 std::string tmp_dir(const char* name) {
   return ::testing::TempDir() + "/" + name;
@@ -174,11 +177,13 @@ TEST(MicroBatcher, CoalescesUpToMaxBatchSize) {
   // Generous window so all submissions land in one batch deterministically.
   cfg.max_delay = std::chrono::microseconds(200'000);
   ServerStats stats;
-  std::vector<std::future<std::vector<float>>> futs;
   {
     MicroBatcher batcher(*session, cfg, &stats);
-    for (int i = 0; i < 8; ++i) futs.push_back(batcher.submit(i));
-    for (auto& f : futs) f.wait();
+    BatcherClient client(batcher);
+    for (int i = 0; i < 8; ++i) client.submit(i, i);
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(client.await(i).status, ServeStatus::kOk);
+    }
     const auto c = batcher.counters();
     EXPECT_EQ(c.requests, 8u);
     EXPECT_EQ(c.batches, 1u);  // size cutoff fired, not the delay
@@ -195,9 +200,9 @@ TEST(MicroBatcher, MaxDelayDispatchesPartialBatch) {
   cfg.max_batch_size = 1024;  // never fills
   cfg.max_delay = std::chrono::microseconds(2000);
   MicroBatcher batcher(*session, cfg);
+  BatcherClient client(batcher);
   const auto t0 = std::chrono::steady_clock::now();
-  auto fut = batcher.submit(5);
-  fut.wait();
+  EXPECT_EQ(client.infer(5).status, ServeStatus::kOk);
   const auto waited = std::chrono::steady_clock::now() - t0;
   // The lone request must complete once the delay window closes — well
   // before any size cutoff could fire (bounded generously for CI jitter).
@@ -213,9 +218,11 @@ TEST(MicroBatcher, SplitsBeyondMaxBatchSize) {
   cfg.max_batch_size = 4;
   cfg.max_delay = std::chrono::microseconds(50'000);
   MicroBatcher batcher(*session, cfg);
-  std::vector<std::future<std::vector<float>>> futs;
-  for (int i = 0; i < 10; ++i) futs.push_back(batcher.submit(i % 5));
-  for (auto& f : futs) f.wait();
+  BatcherClient client(batcher);
+  for (int i = 0; i < 10; ++i) client.submit(i, i % 5);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(client.await(i).status, ServeStatus::kOk);
+  }
   const auto c = batcher.counters();
   EXPECT_EQ(c.requests, 10u);
   EXPECT_GE(c.batches, 3u);  // ceil(10/4) at best, more if windows split
@@ -228,11 +235,17 @@ TEST(MicroBatcher, BadNodeFailsRequestNotServer) {
   MicroBatchConfig cfg;
   cfg.max_delay = std::chrono::microseconds(1000);
   MicroBatcher batcher(*session, cfg);
-  auto bad = batcher.submit(static_cast<std::int64_t>(session->num_nodes()));
-  EXPECT_THROW(bad.get(), std::out_of_range);
+  BatcherClient client(batcher);
+  // The bad node surfaces as kError carrying the backend's own exception.
+  const ServeResponse bad =
+      client.infer(static_cast<std::int64_t>(session->num_nodes()));
+  EXPECT_EQ(bad.status, ServeStatus::kError);
+  ASSERT_TRUE(bad.error);
+  EXPECT_THROW(std::rethrow_exception(bad.error), std::out_of_range);
   // The server still answers afterwards.
-  auto good = batcher.submit(0);
-  EXPECT_EQ(good.get().size(), fx.ds.num_classes);
+  const ServeResponse good = client.infer(0);
+  EXPECT_EQ(good.status, ServeStatus::kOk);
+  EXPECT_EQ(good.logits[0].size(), fx.ds.num_classes);
 }
 
 TEST(MicroBatcher, DeterministicUnderEightConcurrentClients) {
@@ -255,14 +268,17 @@ TEST(MicroBatcher, DeterministicUnderEightConcurrentClients) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
+      BatcherClient client(batcher);
       ZipfWorkloadConfig wc;
       wc.num_nodes = n;
       wc.num_requests = kPerClient;
       wc.seed = 100 + static_cast<std::uint64_t>(c);
       for (const auto node : zipf_stream(wc)) {
-        const auto got = batcher.infer_blocking(node);
+        const ServeResponse got = client.infer(node);
         const auto& want = expect[static_cast<std::size_t>(node)];
-        if (got != want) mismatches.fetch_add(1);
+        if (got.status != ServeStatus::kOk || got.logits[0] != want) {
+          mismatches.fetch_add(1);
+        }
       }
     });
   }

@@ -499,23 +499,31 @@ TEST(ServeApi, StoppedFleetAnswersDrainingInsteadOfThrowing) {
   EXPECT_EQ(r.status, ServeStatus::kDraining);
 }
 
-// --- Legacy shim ----------------------------------------------------------
+// --- One node per envelope vs many ----------------------------------------
 
-TEST(ServeApi, LegacyFutureShimBitIdenticalToEnvelopePath) {
+TEST(ServeApi, SingleNodeEnvelopesBitIdenticalToOneMultiNodeEnvelope) {
+  // Round robin spreads the single-node envelopes over both replicas and
+  // batches them alone; the 20-node envelope lands whole on one replica
+  // in one batch.  Neither the replica nor the batch composition may
+  // change a single bit of any answer.
   const Fixture fx;
-  const std::string ckpt = fx.deploy("api_shim.ckpt");
+  const std::string ckpt = fx.deploy("api_shapes.ckpt");
   FleetConfig fc;
   fc.batch.max_delay = std::chrono::microseconds(100);
   FleetManager fleet(fx.builder(ckpt), 2, fc);
+  ServeRequest all;
+  for (std::int64_t node = 0; node < 20; ++node) all.nodes.push_back(node);
+  const ServeResponse whole = fleet.infer_request(all);
+  ASSERT_EQ(whole.status, ServeStatus::kOk);
   for (std::int64_t node = 0; node < 20; ++node) {
-    const auto legacy = fleet.infer_blocking(node);
     ServeRequest req;
     req.nodes = {node};
     const ServeResponse r = fleet.infer_request(std::move(req));
     ASSERT_EQ(r.status, ServeStatus::kOk);
-    ASSERT_EQ(r.logits[0].size(), legacy.size());
-    for (std::size_t j = 0; j < legacy.size(); ++j) {
-      EXPECT_EQ(r.logits[0][j], legacy[j]) << "node " << node;
+    const auto& want = whole.logits[static_cast<std::size_t>(node)];
+    ASSERT_EQ(r.logits[0].size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(r.logits[0][j], want[j]) << "node " << node;
     }
   }
   fleet.stop();

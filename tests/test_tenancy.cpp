@@ -10,6 +10,7 @@
 // components with synthetic time exactly the way fleetsim does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -395,6 +396,76 @@ TEST(TenancyFleet, AggressorBlastingQuotaCannotCauseVictimRefusals) {
   EXPECT_EQ(victim_refused, 0u);
   EXPECT_EQ(victim_admitted, 5u);  // every victim envelope landed
   fleet.stop();
+}
+
+TEST(TenancyFleet, UnregisteredTenantIdsFoldIntoTheDefaultTenant) {
+  // A caller minting a fresh tenant id per envelope must not mint a fresh
+  // full token bucket (skipping its quota) nor a fresh stats row (growing
+  // memory without bound): ids with no registered contract bill to the
+  // default tenant 0.  Under a metered default contract and an injected
+  // clock, 100k distinct unregistered ids must be refused envelope for
+  // envelope exactly like one tenant sending the same load.
+  const Fixture fx;
+  const std::string ckpt = fx.deploy("tenancy_fold.ckpt");
+  TenantRegistry reg;
+  TenantContract metered;
+  metered.rate_per_s = 10;  // 1 token per 100 sim-ms
+  metered.burst = 5;
+  reg.set_default(metered);
+  reg.set_contract(1, TenantContract{});  // registered ids keep their own
+  reg.set_contract(2, TenantContract{});
+  const std::size_t registered = reg.snapshot()->contracts.size();
+
+  constexpr std::size_t kEnvelopes = 100000;
+  // Per-envelope status sequence plus the fleet's per-tenant rows for one
+  // arm; `tenant_of(i)` picks envelope i's claimed tenant.
+  const auto run = [&](auto tenant_of) {
+    serve::SimClock clock;
+    serve::FleetConfig fc;
+    fc.batch.max_delay = std::chrono::microseconds(100);
+    fc.clock = &clock;
+    fc.tenants = &reg;
+    serve::FleetManager fleet(fx.builder(ckpt), 1, fc);
+    std::vector<ServeStatus> status(kEnvelopes);
+    serve::CompletionQueue cq(
+        [&status](serve::ServeResponse&& r) { status[r.id] = r.status; });
+    for (std::size_t i = 0; i < kEnvelopes; ++i) {
+      serve::ServeRequest r;
+      r.id = i;
+      r.nodes = {static_cast<std::int64_t>(i % 64)};
+      r.tenant = tenant_of(i);
+      fleet.submit(std::move(r), cq);
+      clock.advance(std::chrono::milliseconds(1));
+    }
+    while (cq.delivered() < kEnvelopes) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    auto rows = fleet.aggregate_tenants();
+    fleet.stop();
+    return std::make_pair(std::move(status), std::move(rows));
+  };
+
+  const auto [minted, minted_rows] = run([](std::size_t i) {
+    return static_cast<std::uint32_t>(1000 + i);  // never registered
+  });
+  const auto [single, single_rows] =
+      run([](std::size_t) { return std::uint32_t{0}; });
+
+  ASSERT_EQ(minted, single);
+  const auto refused = static_cast<std::size_t>(
+      std::count(minted.begin(), minted.end(), ServeStatus::kQuotaExceeded));
+  // 100 sim-seconds at 10 parts/s plus the burst of 5 admits ~1005.
+  EXPECT_GT(refused, kEnvelopes * 9 / 10);
+  EXPECT_EQ(refused + static_cast<std::size_t>(std::count(
+                          minted.begin(), minted.end(), ServeStatus::kOk)),
+            kEnvelopes);
+  EXPECT_LE(minted_rows.size(), registered + 1);
+  ASSERT_EQ(minted_rows.size(), single_rows.size());
+  for (std::size_t i = 0; i < minted_rows.size(); ++i) {
+    EXPECT_EQ(minted_rows[i].tenant, single_rows[i].tenant);
+    EXPECT_EQ(minted_rows[i].admitted, single_rows[i].admitted);
+    EXPECT_EQ(minted_rows[i].quota_refused, single_rows[i].quota_refused);
+  }
 }
 
 TEST(TenancyFleet, ContractFlipMidStormLosesNoEnvelope) {

@@ -2,19 +2,20 @@
 // Request/Response envelope encoding, deadline translation, and FrameReader
 // stream reassembly.
 //
-// Three kinds of tests keep the codec honest:
+// Four kinds of tests keep the codec honest:
 //  * round-trips — encode, decode, field-for-field equality across every
 //    status, both result modes, and the deadline edge cases;
-//  * the DOCUMENTED BYTE LAYOUTS — the reference envelope from
-//    docs/wire-protocol.md is encoded here and asserted byte-by-byte
-//    against the documented offsets, at BOTH protocol versions, so the
-//    spec and the code cannot drift apart silently.  If one of these
-//    assertions fails, either the codec or the doc changed: fix whichever
-//    is wrong, in the same PR;
-//  * version negotiation — a v1 offer must still decode (old clients keep
-//    working), a future offer must decode too (the server clamps it with
-//    min(), it must not slam the door), and the tenant id must be exactly
-//    the field that appears at v2 and disappears at v1.
+//  * the DOCUMENTED BYTE LAYOUTS — the reference envelopes from
+//    docs/wire-protocol.md are encoded here and asserted byte-by-byte
+//    against the documented offsets, so the spec and the code cannot
+//    drift apart silently.  If one of these assertions fails, either the
+//    codec or the doc changed: fix whichever is wrong, in the same change;
+//  * strict versioning — the wire has exactly one version, and every
+//    frame header, Hello and HelloAck naming another one is refused with
+//    an error that names it;
+//  * corruption — every truncation, every out-of-range field, and every
+//    single-byte change of the reference frames either fails cleanly or
+//    decodes to an envelope that re-encodes to the same bytes.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -47,7 +48,7 @@ TEST(WireFrame, HeaderRoundTrip) {
   ASSERT_TRUE(decode_frame_header(buf, &out, &err)) << err;
   EXPECT_EQ(out.body_len, 12345u);
   EXPECT_EQ(out.type, MsgType::kResponse);
-  EXPECT_EQ(out.version, kWireVersion);
+  EXPECT_EQ(buf[5], kWireVersion);
 }
 
 TEST(WireFrame, HeaderRejectsBadVersionTypeAndSize) {
@@ -61,10 +62,19 @@ TEST(WireFrame, HeaderRejectsBadVersionTypeAndSize) {
   std::string err;
 
   std::uint8_t bad[kFrameHeaderBytes];
+  // Any version byte but ours — older or newer — is refused, by number.
+  for (const int v : {0, kWireVersion - 1, kWireVersion + 1, 255}) {
+    std::memcpy(bad, buf, kFrameHeaderBytes);
+    bad[5] = static_cast<std::uint8_t>(v);
+    EXPECT_FALSE(decode_frame_header(bad, &out, &err)) << "version " << v;
+    EXPECT_NE(err.find("version " + std::to_string(v)), std::string::npos)
+        << err;
+  }
+
   std::memcpy(bad, buf, kFrameHeaderBytes);
-  bad[5] = kWireVersion + 1;  // version byte
+  bad[7] = 0x01;  // reserved byte
   EXPECT_FALSE(decode_frame_header(bad, &out, &err));
-  EXPECT_NE(err.find("version"), std::string::npos) << err;
+  EXPECT_NE(err.find("reserved"), std::string::npos) << err;
 
   std::memcpy(bad, buf, kFrameHeaderBytes);
   bad[4] = 0x7F;  // type byte
@@ -109,9 +119,8 @@ TEST(WireHandshake, HelloRejectsBadMagicProtocolLength) {
   EXPECT_FALSE(decode_hello(bad.data(), bad.size(), &out, &err));
   EXPECT_NE(err.find("magic"), std::string::npos) << err;
 
-  // An offer BELOW the floor is a peer we can never talk to.
   bad = body;
-  bad[4] = kMinWireVersion - 1;
+  bad[4] = 0;
   EXPECT_FALSE(decode_hello(bad.data(), bad.size(), &out, &err));
   EXPECT_NE(err.find("protocol"), std::string::npos) << err;
 
@@ -122,49 +131,49 @@ TEST(WireHandshake, HelloRejectsBadMagicProtocolLength) {
   EXPECT_FALSE(decode_hello(bad.data(), bad.size(), &out, &err));
 }
 
-TEST(WireHandshake, HelloAcceptsFutureOffer) {
-  // The Hello carries the client's highest SUPPORTED version, not a
-  // demand: a v3 client offering 3 must decode fine so the server can ack
-  // min(3, kWireVersion) and keep talking.  Rejecting high offers would
-  // make every future version a breaking change.
-  WireHello h;
-  h.protocol = kWireVersion + 1;
-  const auto body = encode_hello(h);
-  WireHello out;
-  std::string err;
-  ASSERT_TRUE(decode_hello(body.data(), body.size(), &out, &err)) << err;
-  EXPECT_EQ(out.protocol, static_cast<std::uint32_t>(kWireVersion) + 1);
+TEST(WireHandshake, HelloRejectsEveryOtherOffer) {
+  // One version: a Hello from an older or a newer build fails the
+  // handshake, and the error names the version it offered so a mixed
+  // fleet says why it will not talk.
+  for (const std::uint32_t offer : {1u, 3u, 0xFFFFFFFFu}) {
+    WireHello h;
+    h.protocol = offer;
+    const auto body = encode_hello(h);
+    WireHello out;
+    std::string err;
+    EXPECT_FALSE(decode_hello(body.data(), body.size(), &out, &err))
+        << "offer " << offer;
+    EXPECT_NE(err.find("protocol " + std::to_string(offer)),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(WireHandshake, HelloAckRejectsUnspeakableProtocol) {
-  // The ACK is different from the offer: it names the version BOTH sides
-  // will actually frame at, so an ack outside [kMinWireVersion,
-  // kWireVersion] means the server negotiated something this client
-  // cannot speak — a broken server, and the connection must die.
+  // The client side of the same rule: an ack naming any version but ours
+  // comes from a server of another build, and the connection must die.
   WireHelloAck a;
   a.num_nodes = 7;
   a.classes = 3;
   WireHelloAck out;
   std::string err;
 
-  a.protocol = kWireVersion + 1;
-  auto body = encode_hello_ack(a);
-  EXPECT_FALSE(decode_hello_ack(body.data(), body.size(), &out, &err));
-  EXPECT_NE(err.find("protocol"), std::string::npos) << err;
-
-  a.protocol = kMinWireVersion - 1;
-  body = encode_hello_ack(a);
-  EXPECT_FALSE(decode_hello_ack(body.data(), body.size(), &out, &err));
-
-  // Every version in the speakable window is fine — in particular v1,
-  // which is what a v2 server acks to a v1 client.
-  for (std::uint32_t p = kMinWireVersion; p <= kWireVersion; ++p) {
+  for (const std::uint32_t p : {0u, 1u, 3u}) {
     a.protocol = p;
-    body = encode_hello_ack(a);
-    ASSERT_TRUE(decode_hello_ack(body.data(), body.size(), &out, &err))
-        << "rejected ack protocol " << p << ": " << err;
-    EXPECT_EQ(out.protocol, p);
+    const auto body = encode_hello_ack(a);
+    EXPECT_FALSE(decode_hello_ack(body.data(), body.size(), &out, &err))
+        << "ack protocol " << p;
+    EXPECT_NE(err.find("protocol " + std::to_string(p)), std::string::npos)
+        << err;
   }
+
+  a.protocol = kWireVersion;
+  auto body = encode_hello_ack(a);
+  ASSERT_TRUE(decode_hello_ack(body.data(), body.size(), &out, &err)) << err;
+  EXPECT_EQ(out.protocol, static_cast<std::uint32_t>(kWireVersion));
+
+  body[21] = 1;  // reserved
+  EXPECT_FALSE(decode_hello_ack(body.data(), body.size(), &out, &err));
 }
 
 TEST(WireHandshake, HelloAckRoundTrip) {
@@ -249,55 +258,6 @@ TEST(WireRequest_, DocumentedByteLayoutV2) {
   }
 }
 
-TEST(WireRequest_, DocumentedByteLayoutV1) {
-  // The same envelope on a connection negotiated down to v1: the tenant
-  // field vanishes (a v1 peer must receive EXACTLY the v1 layout — 40
-  // bytes, node count at [20..23]) and the frame header says version 1.
-  // This is the regression that keeps old replicas decodable forever.
-  const auto body = encode_request(reference_request(), /*protocol=*/1);
-  ASSERT_EQ(body.size(), 40u);
-
-  const std::uint8_t expect[40] = {
-      // [0..7]  id 0x0123456789ABCDEF, little-endian
-      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,
-      // [8]    priority = kLow(1)   [9] mode = kTopK(1)
-      0x01, 0x01,
-      // [10..11] topk = 3
-      0x03, 0x00,
-      // [12..19] deadline_rel_us = 2500 (0x9C4)
-      0xC4, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      // [20..23] node count = 2 (no tenant field at v1)
-      0x02, 0x00, 0x00, 0x00,
-      // [24..31] node 7
-      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      // [32..39] node 1000 (0x3E8)
-      0xE8, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
-  for (std::size_t i = 0; i < sizeof(expect); ++i) {
-    EXPECT_EQ(body[i], expect[i]) << "body byte " << i;
-  }
-
-  std::vector<std::uint8_t> frame;
-  append_frame(frame, MsgType::kRequest, body.data(), body.size(),
-               /*version=*/1);
-  ASSERT_EQ(frame.size(), kFrameHeaderBytes + body.size());
-  const std::uint8_t hdr[kFrameHeaderBytes] = {0x28, 0x00, 0x00, 0x00,
-                                               0x10, 0x01, 0x00, 0x00};
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    EXPECT_EQ(frame[i], hdr[i]) << "header byte " << i;
-  }
-
-  // Decoded per the v1 frame version, the envelope comes back whole with
-  // tenant 0 — exactly what the fleet front sees from a v1 client.
-  WireRequest out;
-  std::string err;
-  ASSERT_TRUE(
-      decode_request(body.data(), body.size(), &out, &err, /*version=*/1))
-      << err;
-  EXPECT_EQ(out.id, 0x0123456789ABCDEFull);
-  EXPECT_EQ(out.tenant, 0u);
-  EXPECT_EQ(out.nodes, (std::vector<std::int64_t>{7, 1000}));
-}
-
 TEST(WireRequest_, RoundTrip) {
   for (const std::int64_t deadline : {std::int64_t{-1}, std::int64_t{0},
                                       std::int64_t{2500}, kMaxDeadlineUs}) {
@@ -332,19 +292,17 @@ TEST(WireRequest_, RoundTrip) {
 }
 
 TEST(WireRequest_, VersionMismatchIsCaughtByLengthCheck) {
-  // The negotiation guarantees encoder and decoder agree on the version,
-  // but a corrupt frame header could lie.  The length check catches it:
-  // a v2 body read as v1 (or vice versa) is off by the 4 tenant bytes and
-  // must be rejected, never silently misparsed with nodes shifted by one
-  // field.
-  const auto v2 = encode_request(reference_request());
-  const auto v1 = encode_request(reference_request(), /*protocol=*/1);
+  // A body laid out without the tenant field (what a build from before
+  // the field existed would send, should its frame header ever lie about
+  // the version) is off by 4 bytes, and the count-vs-length check rejects
+  // it instead of misparsing the nodes one field over.
+  auto old_layout = encode_request(reference_request());
+  old_layout.erase(old_layout.begin() + 20, old_layout.begin() + 24);
   WireRequest out;
   std::string err;
-  EXPECT_FALSE(decode_request(v2.data(), v2.size(), &out, &err,
-                              /*version=*/1));
-  EXPECT_FALSE(decode_request(v1.data(), v1.size(), &out, &err,
-                              /*version=*/2));
+  EXPECT_FALSE(decode_request(old_layout.data(), old_layout.size(), &out,
+                              &err));
+  EXPECT_EQ(err, "ppgnn-wire: node count disagrees with body length");
 }
 
 TEST(WireRequest_, RejectsEveryTruncation) {
@@ -564,6 +522,16 @@ TEST(WireResponse_, RejectsCorruptFields) {
   EXPECT_EQ(err, "ppgnn-wire: bad result mode");
 
   bad = body;
+  bad[11] = 1;  // reserved
+  EXPECT_FALSE(decode_response(bad.data(), bad.size(), &out, &err));
+  EXPECT_EQ(err, "ppgnn-wire: nonzero reserved field");
+
+  bad = body;
+  for (std::size_t i = 12; i < 16; ++i) bad[i] = 0xFF;  // 4G parts claimed
+  EXPECT_FALSE(decode_response(bad.data(), bad.size(), &out, &err));
+  EXPECT_EQ(err, "ppgnn-wire: part count past end of frame");
+
+  bad = body;
   bad[40] = 0xFF;  // error_len far past the frame end
   EXPECT_FALSE(decode_response(bad.data(), bad.size(), &out, &err));
   EXPECT_EQ(err, "ppgnn-wire: error text past end of frame");
@@ -582,6 +550,89 @@ TEST(WireResponse_, RejectsCorruptFields) {
   bad.push_back(0);  // trailing garbage
   EXPECT_FALSE(decode_response(bad.data(), bad.size(), &out, &err));
   EXPECT_EQ(err, "ppgnn-wire: Response length mismatch");
+}
+
+// --- Single-byte corruption of whole frames --------------------------------
+
+// Pops one frame off `stream` and decodes it by its type.  Returns false
+// when the stream yields no decodable frame (reader failure, incomplete
+// frame, or decoder rejection); otherwise re-encodes what was decoded into
+// *reencoded.
+bool decode_and_reencode(const std::vector<std::uint8_t>& stream,
+                         std::vector<std::uint8_t>* reencoded) {
+  FrameReader reader;
+  reader.feed(stream.data(), stream.size());
+  MsgType type;
+  const std::uint8_t* body = nullptr;
+  std::size_t len = 0;
+  if (!reader.next_view(&type, &body, &len)) return false;
+  std::string err;
+  reencoded->clear();
+  switch (type) {
+    case MsgType::kHello: {
+      WireHello h;
+      if (!decode_hello(body, len, &h, &err)) return false;
+      encode_hello_into(h, *reencoded);
+      return true;
+    }
+    case MsgType::kHelloAck: {
+      WireHelloAck a;
+      if (!decode_hello_ack(body, len, &a, &err)) return false;
+      encode_hello_ack_into(a, *reencoded);
+      return true;
+    }
+    case MsgType::kRequest: {
+      WireRequest r;
+      if (!decode_request(body, len, &r, &err)) return false;
+      encode_request_into(r, *reencoded);
+      return true;
+    }
+    case MsgType::kResponse: {
+      WireResponse r;
+      if (!decode_response(body, len, &r, &err)) return false;
+      encode_response_into(r, *reencoded);
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(WireCorruption, EveryByteValueOfTheReferenceFramesRejectsOrRoundTrips) {
+  // With one layout there is one way to read each byte, so every
+  // single-byte change of the documented frames must either be refused
+  // (bad version, type, reserved byte, enum, or length) or be a different
+  // but valid envelope — one whose re-encoding reproduces the corrupted
+  // bytes exactly, i.e. nothing was skipped, defaulted or misparsed.
+  std::vector<std::uint8_t> request_frame;
+  encode_request_into(reference_request(), request_frame);
+  std::vector<std::uint8_t> response_frame;
+  encode_response_into(reference_response(), response_frame);
+
+  std::vector<std::uint8_t> reencoded;
+  for (const auto* frame : {&request_frame, &response_frame}) {
+    ASSERT_TRUE(decode_and_reencode(*frame, &reencoded));
+    ASSERT_EQ(reencoded, *frame);
+    std::size_t accepted = 0, rejected = 0;
+    std::vector<std::uint8_t> bad = *frame;
+    for (std::size_t i = 0; i < frame->size(); ++i) {
+      for (int v = 0; v < 256; ++v) {
+        bad[i] = static_cast<std::uint8_t>(v);
+        if (decode_and_reencode(bad, &reencoded)) {
+          ++accepted;
+          ASSERT_EQ(reencoded, bad)
+              << "byte " << i << " = " << v << " decoded but re-encoded "
+              << "differently";
+        } else {
+          ++rejected;
+        }
+      }
+      bad[i] = (*frame)[i];
+    }
+    // Both outcomes occur: payload bytes take any value, and the header,
+    // enums and counts refuse most.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 // --- FrameReader -----------------------------------------------------------
